@@ -254,7 +254,6 @@ def build_parser():
     p.add_argument("--serial", action="store_true")
     p.add_argument("--parallel", action="store_true")
     p.add_argument("--workers", dest="workers_one", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("bench", help="serial vs parallel planning benchmark")
@@ -262,14 +261,12 @@ def build_parser():
     p.add_argument("--workers", default="1-8")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--out", default="bench.csv")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("noop", help="worker-pool startup/teardown overhead")
     p.add_argument("--workers", default="1-8")
     p.add_argument("--repeat", type=int, default=3)
     p.add_argument("--out", default="noop.csv")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_noop)
 
     p = sub.add_parser("field", help="sample the current field to CSV")
@@ -279,13 +276,11 @@ def build_parser():
     p.add_argument("--z", default="0", help="comma-separated depths (m)")
     p.add_argument("--times", default="0", help="comma-separated times")
     p.add_argument("--out", default="field.csv")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("profiles", help="dump generated dive profiles")
     p.add_argument("--mission", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_profiles)
 
     return parser
@@ -299,9 +294,6 @@ def main(argv=None):
     except NoPathError as exc:
         print("no path: %s" % exc, file=sys.stderr)
         return EXIT_NO_PATH
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
     except ParameterError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

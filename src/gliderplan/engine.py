@@ -101,7 +101,7 @@ class WorkerPool:
                 start = time.perf_counter()
                 try:
                     value = task.run()
-                except Exception as exc:  # reported to the master, not raised here
+                except BaseException as exc:  # reported to the master, not raised here
                     self._results.put(
                         TaskResult(task.task_id, None, wid,
                                    time.perf_counter() - start, exc)

@@ -14,10 +14,10 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class GridSpec:
-    x_min: float
-    x_max: float
-    y_min: float
-    y_max: float
+    x_min: float = 0.0
+    x_max: float = 8.0
+    y_min: float = -2.5
+    y_max: float = 2.5
     h: float = 0.4
     sector_order: int = 3
 
@@ -28,10 +28,16 @@ class GridSpec:
             raise ParameterError("grid size h must be > 0")
         if self.sector_order < 1:
             raise ParameterError("sector_order must be >= 1")
-        nx = int(math.floor((self.x_max - self.x_min) / self.h + 1e-9)) + 1
-        ny = int(math.floor((self.y_max - self.y_min) / self.h + 1e-9)) + 1
+        nx, ny = self.shape
         if nx < 2 or ny < 2:
             raise ParameterError("bounding box too small for a 2x2 lattice")
+
+    @property
+    def shape(self):
+        """Lattice points per axis, (nx, ny)."""
+        return tuple(int(math.floor(span / self.h + 1e-9)) + 1
+                     for span in (self.x_max - self.x_min,
+                                  self.y_max - self.y_min))
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,7 @@ def build_grid(spec):
     """Grid graph over the bounding box; node ids row-major from
     (x_min, y_min), edge lists ordered by the offset table."""
     g = Graph(spec)
-    nx = int(math.floor((spec.x_max - spec.x_min) / spec.h + 1e-9)) + 1
-    ny = int(math.floor((spec.y_max - spec.y_min) / spec.h + 1e-9)) + 1
+    nx, ny = spec.shape
     for j in range(ny):
         for i in range(nx):
             g.add_node(spec.x_min + i * spec.h, spec.y_min + j * spec.h)
@@ -122,8 +127,6 @@ def build_grid(spec):
                 ii, jj = i + di, j + dj
                 if 0 <= ii < nx and 0 <= jj < ny:
                     g.add_edge(a, jj * nx + ii)
-    g._nx = nx
-    g._ny = ny
     return g
 
 
@@ -136,7 +139,7 @@ def insert_terminal(g, x, y, role):
         raise ParameterError("terminal (%g, %g) outside the bounding box" % (x, y))
     if role not in ("start", "goal"):
         raise ParameterError("terminal role must be 'start' or 'goal'")
-    n_grid = g._nx * g._ny
+    n_grid = math.prod(spec.shape)
     radius = spec.sector_order * spec.h
     tid = g.add_node(x, y)
     linked = 0

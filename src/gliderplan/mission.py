@@ -2,20 +2,20 @@
 
 The mission file initializes every module of the planner; the identified
 path is stored back as XML after a search. The schema is documented in
-the README; every element is optional and falls back to the documented
-defaults, unknown elements and attributes are rejected.
+the README; every element is optional, unknown elements and attributes
+are rejected. The elements that configure a module are read from the
+fields of its config dataclass, whose field defaults fill omitted values.
 """
 
 import csv
-import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from .cost import IntegrationParams, VehicleParams
 from .engine import EngineConfig
 from .errors import ConfigError, ParameterError
 from .grid import GridSpec
-from .ocean import (FlowEnvironment, JetParams, MODES, SurfaceCurrentParams)
+from .ocean import FlowEnvironment, JetParams, SurfaceCurrentParams
 from .profiles import DiveProfileParams
 from .search import Leg, PathResult
 
@@ -70,10 +70,45 @@ def _build(factory, element_name, **kwargs):
         raise ConfigError("<%s>: %s" % (element_name, exc))
 
 
-_DEFAULT_GRID = dict(x_min=0.0, x_max=8.0, y_min=-2.5, y_max=2.5,
-                     h=0.4, sector_order=3)
-_DEFAULT_PROFILES = dict(z_min=0.0, z_max=200.0, z_climb_to_max=40.0,
-                         d_min_range=50.0, n_climb_levels=4, n_dive_levels=6)
+def _schema(cls):
+    """XML schema of a config dataclass, from its fields: each scalar field
+    is an attribute {name: (type, default)}, each dataclass-typed field a
+    child element {name: class}."""
+    attrs, nested = {}, {}
+    for f in fields(cls):
+        if is_dataclass(f.type):
+            nested[f.name] = f.type
+        else:
+            attrs[f.name] = (f.type, f.default)
+    return attrs, nested
+
+
+_SCHEMAS = {cls: _schema(cls) for cls in (
+    FlowEnvironment, JetParams, SurfaceCurrentParams, VehicleParams,
+    IntegrationParams, GridSpec, DiveProfileParams)}
+_START = {"x": (float, 0.2), "y": (float, 0.0)}
+_GOAL = {"x": (float, 7.8), "y": (float, 0.0)}
+_SEARCH = {"t0": (float, 0.0)}
+_ENGINE = {"n_workers": (int, 4), "sleep_poll_interval_ms": (float, 100.0),
+           "auto_sleep": (_parse_bool, False)}
+_RUN = {"mode": (str, "serial")}
+_ELEMENTS = {"flow", "vehicle", "integration", "grid", "dive_profiles",
+             "start", "goal", "search", "engine", "run"}
+_ABSENT = ET.Element("absent")  # stands in for an omitted element
+
+
+def _section(el, cls, tag):
+    """Instance of config dataclass cls from element el: attributes set its
+    scalar fields, child elements its dataclass fields; omitted values take
+    the field defaults."""
+    attrs, nested = _SCHEMAS[cls]
+    kwargs = _attrs(el, attrs)
+    for child in el:
+        if child.tag not in nested:
+            raise ConfigError("unknown element <%s> inside <%s>"
+                              % (child.tag, tag))
+        kwargs[child.tag] = _section(child, nested[child.tag], child.tag)
+    return _build(cls, tag, **kwargs)
 
 
 def parse_mission(path):
@@ -90,99 +125,36 @@ def parse_mission(path):
     for child in root:
         if child.tag in children:
             raise ConfigError("duplicate element <%s>" % child.tag)
+        if child.tag not in _ELEMENTS:
+            raise ConfigError("unknown element <%s>" % child.tag)
         children[child.tag] = child
-    known = {"flow", "vehicle", "integration", "grid", "dive_profiles",
-             "start", "goal", "search", "engine", "run"}
-    for tag in children:
-        if tag not in known:
-            raise ConfigError("unknown element <%s>" % tag)
 
-    # flow
-    jet = JetParams()
-    surface = SurfaceCurrentParams()
-    mode, ux, uy = "full", 0.0, 0.0
-    flow_el = children.get("flow")
-    if flow_el is not None:
-        fa = _attrs(flow_el, {"mode": (str, "full"),
-                              "ux": (float, 0.0), "uy": (float, 0.0)})
-        mode, ux, uy = fa["mode"], fa["ux"], fa["uy"]
-        for child in flow_el:
-            if child.tag == "jet":
-                ja = _attrs(child, {"B0": (float, 1.2), "epsilon": (float, 0.3),
-                                    "omega": (float, 0.4),
-                                    "theta": (float, math.pi / 2),
-                                    "k": (float, 0.84), "c": (float, 0.12)})
-                jet = _build(JetParams, "jet", **ja)
-            elif child.tag == "surface":
-                sa = _attrs(child, {"W0": (float, 0.5), "d": (float, 2.0),
-                                    "z_decay": (float, 15.0)})
-                surface = _build(SurfaceCurrentParams, "surface", **sa)
-            else:
-                raise ConfigError("unknown element <%s> inside <flow>" % child.tag)
-        if mode not in MODES:
-            raise ConfigError("<flow>: unknown mode %r" % mode)
-    env = _build(FlowEnvironment, "flow", jet=jet, surface=surface,
-                 mode=mode, ux=ux, uy=uy)
+    def section(tag, cls):
+        return _section(children.get(tag, _ABSENT), cls, tag)
 
-    def leaf(tag, schema, factory):
-        el = children.get(tag)
-        if el is None:
-            return _build(factory, tag,
-                          **{k: d for k, (_conv, d) in schema.items()})
-        if len(el):
-            raise ConfigError("<%s> takes no child elements" % tag)
-        return _build(factory, tag, **_attrs(el, schema))
+    def attrs(tag, schema):
+        return _attrs(children.get(tag, _ABSENT), schema)
 
-    vehicle = leaf("vehicle", {"v_bf": (float, 0.5), "w_vert": (float, 100.0)},
-                   VehicleParams)
-    integration = leaf("integration",
-                       {"dt": (float, 0.01), "max_steps": (int, 1_000_000),
-                        "eps_speed": (float, 1e-6)}, IntegrationParams)
-    grid = leaf("grid", {k: (int if k == "sector_order" else float, v)
-                         for k, v in _DEFAULT_GRID.items()}, GridSpec)
-    profile_params = leaf(
-        "dive_profiles",
-        {k: (int if k.startswith("n_") else float, v)
-         for k, v in _DEFAULT_PROFILES.items()}, DiveProfileParams)
-
-    def point(tag, default):
-        el = children.get(tag)
-        if el is None:
-            return default
-        pa = _attrs(el, {"x": (float, default[0]), "y": (float, default[1])})
-        return (pa["x"], pa["y"])
-
-    start = point("start", (0.2, 0.0))
-    goal = point("goal", (7.8, 0.0))
-
-    t0 = 0.0
-    search_el = children.get("search")
-    if search_el is not None:
-        t0 = _attrs(search_el, {"t0": (float, 0.0)})["t0"]
-
-    engine_kwargs = {"n_workers": 4, "sleep_poll_interval": 0.1}
-    auto_sleep = False
-    engine_el = children.get("engine")
-    if engine_el is not None:
-        ea = _attrs(engine_el, {"n_workers": (int, 4),
-                                "sleep_poll_interval_ms": (float, 100.0),
-                                "auto_sleep": (_parse_bool, False)})
-        engine_kwargs = {"n_workers": ea["n_workers"],
-                         "sleep_poll_interval": ea["sleep_poll_interval_ms"] / 1e3}
-        auto_sleep = ea["auto_sleep"]
-    engine = _build(EngineConfig, "engine", **engine_kwargs)
-
-    run_mode = "serial"
-    run_el = children.get("run")
-    if run_el is not None:
-        run_mode = _attrs(run_el, {"mode": (str, "serial")})["mode"]
-        if run_mode not in ("serial", "parallel"):
-            raise ConfigError("<run>: mode must be 'serial' or 'parallel'")
+    env = section("flow", FlowEnvironment)
+    vehicle = section("vehicle", VehicleParams)
+    integration = section("integration", IntegrationParams)
+    grid = section("grid", GridSpec)
+    profile_params = section("dive_profiles", DiveProfileParams)
+    start = attrs("start", _START)
+    goal = attrs("goal", _GOAL)
+    t0 = attrs("search", _SEARCH)["t0"]
+    ea = attrs("engine", _ENGINE)
+    engine = _build(EngineConfig, "engine", n_workers=ea["n_workers"],
+                    sleep_poll_interval=ea["sleep_poll_interval_ms"] / 1e3)
+    run_mode = attrs("run", _RUN)["mode"]
+    if run_mode not in ("serial", "parallel"):
+        raise ConfigError("<run>: mode must be 'serial' or 'parallel'")
 
     return MissionConfig(env=env, vehicle=vehicle, integration=integration,
                          grid=grid, profile_params=profile_params,
-                         start=start, goal=goal, t0=t0, engine=engine,
-                         auto_sleep=auto_sleep, run_mode=run_mode)
+                         start=(start["x"], start["y"]),
+                         goal=(goal["x"], goal["y"]), t0=t0, engine=engine,
+                         auto_sleep=ea["auto_sleep"], run_mode=run_mode)
 
 
 def write_path_xml(result, path):

@@ -9,12 +9,12 @@ from .errors import ParameterError
 class DiveProfileParams:
     """Depth bands and level counts driving profile generation (depths in m)."""
 
-    z_min: float
-    z_max: float
-    z_climb_to_max: float
-    d_min_range: float
-    n_climb_levels: int
-    n_dive_levels: int
+    z_min: float = 0.0
+    z_max: float = 200.0
+    z_climb_to_max: float = 40.0
+    d_min_range: float = 50.0
+    n_climb_levels: int = 4
+    n_dive_levels: int = 6
 
     def __post_init__(self):
         if not 0 <= self.z_min <= self.z_climb_to_max:

@@ -1,3 +1,4 @@
+import threading
 import time
 from dataclasses import dataclass
 
@@ -23,6 +24,14 @@ class FailTask:
 
     def run(self):
         raise RuntimeError("boom")
+
+
+@dataclass(frozen=True)
+class ExitTask:
+    task_id: int
+
+    def run(self):
+        raise SystemExit(1)
 
 
 def wait_for_states(pool, predicate, timeout=2.0):
@@ -136,6 +145,29 @@ class TestDelegate:
             with pytest.raises(gp.EngineError) as exc:
                 pool.delegate(tasks)
             assert exc.value.task_ids == (1, 3)
+
+    def test_system_exit_in_task_reported_not_hung(self):
+        # A BaseException from a task must not kill its worker: the master
+        # would then wait for ever on the missing result.
+        pool = gp.start_pool(gp.EngineConfig(2))
+        outcome = []
+
+        def master():
+            try:
+                pool.delegate([SleepTask(0, 0.0), ExitTask(1)])
+            except gp.EngineError as exc:
+                outcome.append(exc.task_ids)
+
+        th = threading.Thread(target=master, daemon=True)
+        th.start()
+        th.join(timeout=5.0)
+        assert not th.is_alive(), "delegate blocked on a failed task"
+        assert outcome == [(1,)]
+        # both workers survive and still take work
+        assert [r.value for r in pool.delegate(
+            [SleepTask(0, 0.0), SleepTask(1, 0.0)])] == [0, 1]
+        pool.shutdown()
+        assert not any(t.is_alive() for t in pool._threads)
 
     @pytest.mark.parametrize("n_tasks,n_workers", [(20, 5), (20, 7), (20, 20)])
     def test_round_structure_timing(self, n_tasks, n_workers):

@@ -42,6 +42,11 @@ class TestBuildGrid:
         assert (g.nodes[0].x, g.nodes[0].y) == (0.0, 0.0)
         assert (g.nodes[1].x, g.nodes[1].y) == (0.5, 0.0)
         assert (g.nodes[5].x, g.nodes[5].y) == (0.0, 0.5)
+        assert spec.shape == (5, 3)
+
+    def test_shape_tolerates_rounding(self):
+        # 0.7 / 0.1 is 6.999...; the lattice still reaches x_max
+        assert gp.GridSpec(0, 0.7, 0, 0.2, 0.1, 1).shape == (8, 3)
 
     def test_edge_geometry(self):
         spec = gp.GridSpec(0, 4, 0, 4, 0.4, 3)

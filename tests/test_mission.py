@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,8 @@ import gliderplan as gp
 from gliderplan.cli import main, parse_worker_list
 from gliderplan.mission import read_path_xml, write_path_xml
 from gliderplan.search import Leg, PathResult
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 STILL_MISSION = """<?xml version="1.0"?>
 <mission>
@@ -52,6 +56,44 @@ class TestParseMission:
         assert cfg.engine.sleep_poll_interval == pytest.approx(0.1)
         assert cfg.auto_sleep is False
         assert cfg.run_mode == "serial"
+        # the module sections take their config dataclasses' field defaults
+        assert cfg.env == gp.FlowEnvironment()
+        assert cfg.vehicle == gp.VehicleParams()
+        assert cfg.integration == gp.IntegrationParams()
+        assert cfg.grid == gp.GridSpec()
+        assert cfg.profile_params == gp.DiveProfileParams()
+
+    def test_readme_schema_block_states_the_defaults(self, tmp_path):
+        readme = README.read_text()
+        block = re.search(r"## Mission file schema.*?```xml\n(.*?)```",
+                          readme, re.S).group(1)
+        documented, minimal = tmp_path / "readme.xml", tmp_path / "min.xml"
+        documented.write_text(block)
+        minimal.write_text("<mission/>")
+        assert gp.parse_mission(str(documented)) == \
+            gp.parse_mission(str(minimal))
+
+    def test_partial_nested_section(self, tmp_path):
+        p = tmp_path / "jet.xml"
+        p.write_text('<mission><flow mode="jet"><jet B0="2"/></flow></mission>')
+        env = gp.parse_mission(str(p)).env
+        assert env == gp.FlowEnvironment(jet=gp.JetParams(B0=2.0), mode="jet")
+
+    @pytest.mark.parametrize("doc,name", [
+        ('<flow mode="tidal"/>', "tidal"),
+        ("<flow><tide/></flow>", "tide"),
+        ('<flow><jet x="1"/></flow>', "'x'"),
+        ('<flow><jet B0="0"/></flow>', "<jet>"),
+        ('<flow><surface z_decay="0"/></flow>', "<surface>"),
+        ("<vehicle><x/></vehicle>", "<vehicle>"),
+        ('<grid sector_order="1.5"/>', "sector_order"),
+        ('<integration max_steps="1e6"/>', "max_steps"),
+    ])
+    def test_bad_section_names_culprit(self, tmp_path, doc, name):
+        p = tmp_path / "bad.xml"
+        p.write_text("<mission>%s</mission>" % doc)
+        with pytest.raises(gp.ConfigError, match=re.escape(name)):
+            gp.parse_mission(str(p))
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "empty.xml"
