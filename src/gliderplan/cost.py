@@ -9,9 +9,10 @@ independent work unit suitable for parallel delegation.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError
-from .ocean import velocity
+from .ocean import MODE_FULL, MODE_SURFACE, velocity
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,9 @@ class IntegrationParams:
             raise ParameterError("eps_speed must be >= 0")
 
 
-@dataclass(frozen=True)
-class EdgeCostResult:
+# EdgeCostResult and EdgeTask are made per edge and per profile in the
+# search loop; as named tuples they cost a fraction of a frozen dataclass.
+class EdgeCostResult(NamedTuple):
     """Minimum travel time over the profile set. Infeasible traversals are
     represented as None, never as a sentinel number."""
 
@@ -54,8 +56,7 @@ class EdgeCostResult:
     per_profile_times: tuple
 
 
-@dataclass(frozen=True)
-class EdgeTask:
+class EdgeTask(NamedTuple):
     """Self-contained per-profile edge-cost work unit (value message)."""
 
     task_id: int
@@ -72,15 +73,25 @@ class EdgeTask:
         )
 
 
-def sawtooth_depth(t_rel, profile, w_vert):
+def _sawtooth(profile, w_vert):
+    """A profile's sawtooth constants (z_climb, z_dive, half, period) for
+    _depth, computed once per traversal."""
+    half = (profile.z_dive_to - profile.z_climb_to) / w_vert
+    return profile.z_climb_to, profile.z_dive_to, half, 2.0 * half
+
+
+def _depth(t_rel, z_climb, z_dive, half, period, w_vert):
     """Depth (m) at time t_rel after edge start: triangular wave from
-    z_climb_to down to z_dive_to and back, starting in descent."""
-    amp = profile.z_dive_to - profile.z_climb_to
-    half = amp / w_vert
-    phase = math.fmod(t_rel, 2.0 * half)
+    z_climb down to z_dive and back, starting in descent."""
+    phase = math.fmod(t_rel, period)
     if phase <= half:
-        return profile.z_climb_to + w_vert * phase
-    return profile.z_dive_to - w_vert * (phase - half)
+        return z_climb + w_vert * phase
+    return z_dive - w_vert * (phase - half)
+
+
+def sawtooth_depth(t_rel, profile, w_vert):
+    """Depth (m) of the profile's sawtooth at time t_rel after edge start."""
+    return _depth(t_rel, *_sawtooth(profile, w_vert), w_vert)
 
 
 def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None):
@@ -94,28 +105,31 @@ def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None):
     (t, s, x, y, z, u, v, g) row is appended per step.
     """
     v_bf = veh.v_bf
+    v_bf2 = v_bf * v_bf
     w_vert = veh.w_vert
+    z_climb, z_dive, half, period = _sawtooth(profile, w_vert)
     dt = integ.dt
     eps = integ.eps_speed
     length = edge.length
     dx, dy = edge.dx, edge.dy
     x0, y0 = edge.x0, edge.y0
+    sqrt = math.sqrt
     s = 0.0
     elapsed = 0.0
     for _ in range(integ.max_steps):
-        z = sawtooth_depth(elapsed, profile, w_vert)
+        z = _depth(elapsed, z_climb, z_dive, half, period, w_vert)
         x = x0 + s * dx
         y = y0 + s * dy
-        flow = velocity(x, y, z, t_start + elapsed, env)
-        c_par = flow.u * dx + flow.v * dy
-        c_perp = -flow.u * dy + flow.v * dx
+        u, v = velocity(x, y, z, t_start + elapsed, env)
+        c_par = u * dx + v * dy
+        c_perp = -u * dy + v * dx
         if abs(c_perp) >= v_bf:
             return None
-        g = c_par + math.sqrt(v_bf * v_bf - c_perp * c_perp)
+        g = c_par + sqrt(v_bf2 - c_perp * c_perp)
         if g <= eps:
             return None
         if trace is not None:
-            trace.append((t_start + elapsed, s, x, y, z, flow.u, flow.v, g))
+            trace.append((t_start + elapsed, s, x, y, z, u, v, g))
         remaining = length - s
         if g * dt >= remaining:
             return elapsed + remaining / g
@@ -135,11 +149,37 @@ def make_tasks(edge, t_start, profiles, env, veh, integ):
     ]
 
 
+def distinct_profiles(profiles, env):
+    """The profiles whose travel times can differ, in the given order.
+
+    Only the surface term depends on depth, and it vanishes at and below
+    z_decay, so every profile that never climbs above z_decay flies the
+    depth-independent field and gives bit-identical times on every edge:
+    the first of them stands for all. Without a surface term all profiles
+    are alike. The kept profile of each class has the lowest index in it,
+    so a search over the result breaks ties as one over all profiles.
+    """
+    if env.mode not in (MODE_FULL, MODE_SURFACE):
+        return list(profiles[:1])
+    z_decay = env.surface.z_decay
+    out = []
+    shielded = False
+    for p in profiles:
+        if p.z_climb_to < z_decay:
+            out.append(p)
+        elif not shielded:
+            out.append(p)
+            shielded = True
+    return out
+
+
 def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None):
     """Minimum travel time over all profiles, lowest index on ties.
 
-    The evaluator maps a task list to a time list ordered by task id; the
-    result is identical regardless of the evaluation strategy.
+    best_profile_index is the winning profile's own index, which is its
+    list position when profiles is a full generated set. The evaluator
+    maps a task list to a time list ordered by task id; the result is
+    identical regardless of the evaluation strategy.
     """
     if not profiles:
         raise ParameterError("profile set must be non-empty")
@@ -148,8 +188,8 @@ def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None):
     times = evaluator(make_tasks(edge, t_start, profiles, env, veh, integ))
     best = None
     best_i = None
-    for i, t in enumerate(times):
+    for p, t in zip(profiles, times):
         if t is not None and (best is None or t < best):
             best = t
-            best_i = i
+            best_i = p.index
     return EdgeCostResult(best, best_i, tuple(times))

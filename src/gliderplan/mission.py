@@ -97,17 +97,29 @@ _ELEMENTS = {"flow", "vehicle", "integration", "grid", "dive_profiles",
 _ABSENT = ET.Element("absent")  # stands in for an omitted element
 
 
+def _children(el, allowed, tag):
+    """Child elements of el by tag; each must be in allowed and appear at
+    most once."""
+    out = {}
+    for child in el:
+        if child.tag not in allowed:
+            raise ConfigError("unknown element <%s> inside <%s>"
+                              % (child.tag, tag))
+        if child.tag in out:
+            raise ConfigError("duplicate element <%s> inside <%s>"
+                              % (child.tag, tag))
+        out[child.tag] = child
+    return out
+
+
 def _section(el, cls, tag):
     """Instance of config dataclass cls from element el: attributes set its
     scalar fields, child elements its dataclass fields; omitted values take
     the field defaults."""
     attrs, nested = _SCHEMAS[cls]
     kwargs = _attrs(el, attrs)
-    for child in el:
-        if child.tag not in nested:
-            raise ConfigError("unknown element <%s> inside <%s>"
-                              % (child.tag, tag))
-        kwargs[child.tag] = _section(child, nested[child.tag], child.tag)
+    for name, child in _children(el, nested, tag).items():
+        kwargs[name] = _section(child, nested[name], name)
     return _build(cls, tag, **kwargs)
 
 
@@ -120,20 +132,15 @@ def parse_mission(path):
     root = tree.getroot()
     if root.tag != "mission":
         raise ConfigError("root element must be <mission>, got <%s>" % root.tag)
-
-    children = {}
-    for child in root:
-        if child.tag in children:
-            raise ConfigError("duplicate element <%s>" % child.tag)
-        if child.tag not in _ELEMENTS:
-            raise ConfigError("unknown element <%s>" % child.tag)
-        children[child.tag] = child
+    children = _children(root, _ELEMENTS, "mission")
 
     def section(tag, cls):
         return _section(children.get(tag, _ABSENT), cls, tag)
 
     def attrs(tag, schema):
-        return _attrs(children.get(tag, _ABSENT), schema)
+        el = children.get(tag, _ABSENT)
+        _children(el, (), tag)
+        return _attrs(el, schema)
 
     env = section("flow", FlowEnvironment)
     vehicle = section("vehicle", VehicleParams)

@@ -9,7 +9,7 @@ without aborting.
 import heapq
 from dataclasses import dataclass, field
 
-from .cost import edge_cost
+from .cost import distinct_profiles, edge_cost
 from .errors import NoPathError, ParameterError
 
 
@@ -54,11 +54,13 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     """Least-arrival-time path from the start terminal to the goal terminal.
 
     Ties in the queue break on (arrival time, node id); an equal-arrival
-    relaxation never replaces an existing predecessor.
+    relaxation never replaces an existing predecessor. Each edge is flown
+    once per distinct profile (cost.distinct_profiles).
     """
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
+    profiles = distinct_profiles(profiles, env)
     arrival = {start: t0}
     pred = {}
     settled = set()
@@ -101,6 +103,7 @@ def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
+    profiles = distinct_profiles(profiles, env)
     best = {"arrival": None, "legs": None}
 
     def visit(node, t, hops, on_path, legs):

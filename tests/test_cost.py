@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -210,6 +211,59 @@ class TestEdgeCost:
             parallel = gp.edge_cost(edge, 1.0, profiles, default_env, veh,
                                     integ, gp.pool_evaluator(pool))
         assert serial == parallel  # bit-exact, including per-profile times
+
+
+class TestDistinctProfiles:
+    @staticmethod
+    def with_boundary_profile(params, z_decay):
+        """The generated profiles plus one climbing exactly to z_decay,
+        ordered so that it is the first never to climb above z_decay."""
+        pairs = [(p.z_climb_to, p.z_dive_to)
+                 for p in gp.generate_dive_profiles(params)]
+        pairs = sorted(pairs + [(z_decay, 170.0)], key=lambda zz: zz[0])
+        return [gp.DiveProfile(zc, zd, i) for i, (zc, zd) in enumerate(pairs)]
+
+    @pytest.mark.parametrize("mode", ["full", "surface", "jet"])
+    def test_collapse_is_exact(self, paper_profile_params, veh, mode):
+        env = gp.FlowEnvironment(mode=mode)
+        integ = gp.IntegrationParams(dt=0.02)
+        profiles = self.with_boundary_profile(paper_profile_params,
+                                              env.surface.z_decay)
+        kept = gp.distinct_profiles(profiles, env)
+        if mode != "jet":
+            assert kept[-1].z_climb_to == env.surface.z_decay
+        rng = random.Random(7)
+        for _ in range(12):
+            x0, y0 = rng.uniform(0.0, 7.6), rng.uniform(-1.5, 1.5)
+            heading = rng.uniform(0.0, 2.0 * math.pi)
+            edge = straight_edge(x0, y0, x0 + 0.4 * math.cos(heading),
+                                 y0 + 0.4 * math.sin(heading))
+            t = rng.uniform(0.0, 8.0)
+            every = gp.edge_cost(edge, t, profiles, env, veh, integ)
+            distinct = gp.edge_cost(edge, t, kept, env, veh, integ)
+            assert repr(distinct.best_time) == repr(every.best_time)
+            assert distinct.best_profile_index == every.best_profile_index
+            # each dropped profile flies exactly as the last kept one
+            shielded = every.per_profile_times[kept[-1].index]
+            for p, time in zip(profiles, every.per_profile_times):
+                if p not in kept:
+                    assert repr(time) == repr(shielded)
+
+    def test_counts(self, paper_profile_params):
+        profiles = gp.generate_dive_profiles(paper_profile_params)
+        kept = gp.distinct_profiles(profiles, gp.FlowEnvironment())
+        assert len(kept) == 12
+        assert [p.index for p in kept] == list(range(12))
+        for env in (gp.FlowEnvironment(mode="jet"),
+                    gp.FlowEnvironment.uniform(0.1, -0.2),
+                    gp.FlowEnvironment.still()):
+            assert gp.distinct_profiles(profiles, env) == profiles[:1]
+
+    def test_best_index_is_the_profiles_own(self, veh, integ):
+        edge = straight_edge(0.0, 0.0, 1.0, 0.0)
+        res = gp.edge_cost(edge, 0.0, [gp.DiveProfile(20.0, 200.0, 11)],
+                           gp.FlowEnvironment.still(), veh, integ)
+        assert res.best_profile_index == 11
 
 
 class TestParamValidation:

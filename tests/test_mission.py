@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ from gliderplan.mission import read_path_xml, write_path_xml
 from gliderplan.search import Leg, PathResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 STILL_MISSION = """<?xml version="1.0"?>
 <mission>
@@ -117,6 +121,26 @@ class TestParseMission:
         with pytest.raises(gp.ConfigError, match="warp_drive"):
             gp.parse_mission(str(p))
 
+    @pytest.mark.parametrize("tag", ["start", "goal", "search", "engine",
+                                     "run"])
+    def test_child_of_leaf_element_rejected(self, tmp_path, tag):
+        p = tmp_path / "bad.xml"
+        p.write_text("<mission><%s><foo/></%s></mission>" % (tag, tag))
+        with pytest.raises(gp.ConfigError, match=re.escape(
+                "unknown element <foo> inside <%s>" % tag)):
+            gp.parse_mission(str(p))
+
+    @pytest.mark.parametrize("doc,message", [
+        ('<flow><jet B0="2"/><jet B0="3"/></flow>',
+         "duplicate element <jet> inside <flow>"),
+        ('<grid/><grid h="0.5"/>', "duplicate element <grid> inside <mission>"),
+    ])
+    def test_repeated_element_rejected(self, tmp_path, doc, message):
+        p = tmp_path / "bad.xml"
+        p.write_text("<mission>%s</mission>" % doc)
+        with pytest.raises(gp.ConfigError, match=re.escape(message)):
+            gp.parse_mission(str(p))
+
     def test_unknown_attribute_rejected(self, tmp_path):
         p = tmp_path / "bad.xml"
         p.write_text('<mission><vehicle thrust="9"/></mission>')
@@ -191,6 +215,23 @@ class TestCmdPlan:
                      "--workers", "3", "--out", str(out_p)]) == 0
         assert (out_s / "path.xml").read_bytes() == \
             (out_p / "path.xml").read_bytes()
+
+    def test_plan_does_not_import_numpy(self, still_mission, tmp_path):
+        # a serial and a pool plan in a fresh interpreter; numpy alone
+        # would almost double the planner's resident memory
+        code = (
+            "import sys\n"
+            "from gliderplan.cli import main\n"
+            "for mode in ('--serial', '--parallel'):\n"
+            "    assert main(['plan', '--mission', sys.argv[1], mode,\n"
+            "                 '--out', sys.argv[2] + mode]) == 0\n"
+            "assert 'numpy' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, still_mission, str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_no_path_exit_code(self, tmp_path):
         p = tmp_path / "blocked.xml"

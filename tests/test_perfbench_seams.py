@@ -34,18 +34,33 @@ def test_tracer_installs_and_restores():
     assert seams() == before
 
 
-def test_tracer_sees_a_serial_plan():
-    graph = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))
-    gp.insert_terminal(graph, 0.1, 0.1, "start")
-    gp.insert_terminal(graph, 0.9, 0.9, "goal")
+def traced_calls(env, y0=0.0):
+    """Calls per traced name in a serial plan of a small grid whose lower
+    edge lies at y0."""
+    graph = gp.build_grid(gp.GridSpec(0, 1, y0, y0 + 1, 0.5, 1))
+    gp.insert_terminal(graph, 0.1, y0 + 0.1, "start")
+    gp.insert_terminal(graph, 0.9, y0 + 0.9, "goal")
     profiles = gp.generate_dive_profiles(gp.DiveProfileParams())
     tracer = load_tracer().Tracer()
     with tracer.installed():
-        gp.plan(graph, 0.0, profiles, gp.FlowEnvironment.still(),
-                gp.VehicleParams(), gp.IntegrationParams(dt=0.1))
+        gp.plan(graph, 0.0, profiles, env, gp.VehicleParams(),
+                gp.IntegrationParams(dt=0.1))
     totals, _min_self = tracer.totals()
     calls = {name: v[2] for (name, _stage, _worker), v in totals.items()}
     assert len(tracer.tails) == calls["edge_cost"] > 0
     assert calls["evaluator"] == calls["edge_cost"]
-    assert calls["traverse_edge"] == calls["edge_cost"] * len(profiles)
     assert calls["velocity"] >= calls["traverse_edge"]
+    return calls
+
+
+def test_tracer_sees_a_serial_plan():
+    # in still water all profiles fly alike: one traversal per edge
+    calls = traced_calls(gp.FlowEnvironment.still())
+    assert calls["traverse_edge"] == calls["edge_cost"]
+
+
+def test_tracer_sees_the_distinct_profiles_of_a_full_plan():
+    # 11 default profiles climb above z_decay; the 9 others share one.
+    # The grid lies north of the jet core, where the track can be held.
+    calls = traced_calls(gp.FlowEnvironment(), y0=2.0)
+    assert calls["traverse_edge"] == calls["edge_cost"] * 12
