@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .ocean import MODE_FULL, MODE_SURFACE, velocity
+from .ocean import depth_independent_below, velocity
 
 
 @dataclass(frozen=True)
@@ -152,20 +152,20 @@ def make_tasks(edge, t_start, profiles, env, veh, integ):
 def distinct_profiles(profiles, env):
     """The profiles whose travel times can differ, in the given order.
 
-    Only the surface term depends on depth, and it vanishes at and below
-    z_decay, so every profile that never climbs above z_decay flies the
-    depth-independent field and gives bit-identical times on every edge:
-    the first of them stands for all. Without a surface term all profiles
-    are alike. The kept profile of each class has the lowest index in it,
-    so a search over the result breaks ties as one over all profiles.
+    Every profile that never climbs above the depth from which env's
+    field is depth-independent (ocean.depth_independent_below) flies the
+    same field and gives bit-identical times on every edge, so the first
+    of them stands for all. The kept profile of each class has the lowest
+    index in it, so a search over the result breaks ties as one over all
+    profiles.
     """
-    if env.mode not in (MODE_FULL, MODE_SURFACE):
-        return list(profiles[:1])
-    z_decay = env.surface.z_decay
+    z_flat = depth_independent_below(env)
+    if z_flat is None:
+        return list(profiles)
     out = []
     shielded = False
     for p in profiles:
-        if p.z_climb_to < z_decay:
+        if p.z_climb_to < z_flat:
             out.append(p)
         elif not shielded:
             out.append(p)

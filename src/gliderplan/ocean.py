@@ -147,6 +147,20 @@ def surface_term(z, t, surf, omega):
     return surf.W0 * math.cos(surf.d * omega * t) * shape
 
 
+def depth_independent_below(env):
+    """The depth (m) at and below which env's field does not vary with
+    depth, or None if no such depth is known.
+
+    The surface term is the only depth-dependent part, and surface_term
+    is exactly 0.0 at z >= z_decay; the other modes ignore depth.
+    """
+    if env.mode in (MODE_FULL, MODE_SURFACE):
+        return env.surface.z_decay
+    if env.mode in (MODE_JET, MODE_UNIFORM, MODE_STILL):
+        return 0.0
+    return None
+
+
 def velocity(x, y, z, t, env):
     """Current sample at horizontal position (x, y), depth z (m), time t."""
     if z < 0:

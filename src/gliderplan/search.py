@@ -95,7 +95,8 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
 def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=12):
     """Exhaustive enumeration of simple start-goal paths up to max_hops,
     accumulating time-dependent edge costs in path order. Test oracle for
-    plan(); only suitable for small graphs.
+    plan(); only suitable for small graphs. Every profile is flown, so the
+    oracle does not share plan()'s cost.distinct_profiles collapse.
 
     Partial paths already no better than the best complete path are cut,
     which cannot change the returned minimum (travel times are positive).
@@ -103,7 +104,6 @@ def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
-    profiles = distinct_profiles(profiles, env)
     best = {"arrival": None, "legs": None}
 
     def visit(node, t, hops, on_path, legs):

@@ -5,7 +5,7 @@ import pytest
 
 import gliderplan as gp
 from gliderplan.ocean import (MODE_JET, MODE_STILL, MODE_SURFACE,
-                              MODE_UNIFORM)
+                              MODE_UNIFORM, MODES, depth_independent_below)
 
 
 def fd_velocity(x, y, t, jet, h=1e-5):
@@ -135,6 +135,18 @@ class TestVelocity:
             v0 = gp.velocity(x, y, 0.0, t, env).v
             for z in (3.0, 14.0, 100.0):
                 assert gp.velocity(x, y, z, t, env).v == v0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_depth_independent_below(self, mode):
+        # the profile collapse in cost.distinct_profiles is exact only if
+        # the field is bit-identical at and below this depth in every mode
+        env = gp.FlowEnvironment(mode=mode, ux=0.1, uy=-0.2)
+        z_flat = depth_independent_below(env)
+        assert z_flat is not None
+        for x, y, t in random_points(50, seed=7):
+            at = gp.velocity(x, y, z_flat, t, env)
+            for dz in (1e-9, 0.5, 185.0):
+                assert gp.velocity(x, y, z_flat + dz, t, env) == at
 
     def test_still_mode(self):
         env = gp.FlowEnvironment(mode=MODE_STILL)

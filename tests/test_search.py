@@ -169,3 +169,25 @@ class TestOptimalityOracle:
             b = gp.brute_force_plan(g, t0, profiles, env, veh, integ,
                                     max_hops=8)
             assert abs(a.arrival - b.arrival) <= 1e-9
+
+    def test_collapsed_plan_matches_brute_force_over_every_profile(self):
+        # plan() flies one profile for those that never climb above
+        # z_decay; the oracle flies them all
+        checked = 0
+        for seed in range(200, 215):
+            g, t0, profiles, env, veh, integ = make_instance(seed)
+            n = len(profiles)
+            profiles = profiles + [
+                gp.DiveProfile(zc, zd, n + i) for i, (zc, zd) in
+                enumerate([(15.0, 60.0), (30.0, 45.0), (20.0, 70.0)])]
+            assert len(gp.distinct_profiles(profiles, env)) < len(profiles)
+            if not fifo_holds(g, t0, profiles, env, veh, integ):
+                continue
+            a = gp.plan(g, t0, profiles, env, veh, integ)
+            b = gp.brute_force_plan(g, t0, profiles, env, veh, integ,
+                                    max_hops=8)
+            assert abs(a.arrival - b.arrival) <= 1e-9
+            if a.node_sequence() == b.node_sequence():
+                assert a.legs == b.legs
+            checked += 1
+        assert checked >= 10
