@@ -57,7 +57,10 @@ class EdgeCostResult(NamedTuple):
 
 
 class EdgeTask(NamedTuple):
-    """Self-contained per-profile edge-cost work unit (value message)."""
+    """Self-contained per-profile edge-cost work unit (value message).
+
+    t_limit is traverse_edge's absolute deadline, or None. It travels in
+    the task so that every evaluator cuts the same traversals."""
 
     task_id: int
     edge: object
@@ -66,10 +69,12 @@ class EdgeTask(NamedTuple):
     env: object
     veh: object
     integ: object
+    t_limit: object = None
 
     def run(self):
         return traverse_edge(
-            self.edge, self.t_start, self.profile, self.env, self.veh, self.integ
+            self.edge, self.t_start, self.profile, self.env, self.veh,
+            self.integ, t_limit=self.t_limit
         )
 
 
@@ -94,7 +99,8 @@ def sawtooth_depth(t_rel, profile, w_vert):
     return _depth(t_rel, *_sawtooth(profile, w_vert), w_vert)
 
 
-def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None):
+def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None,
+                  t_limit=None):
     """Travel time along the edge for one dive profile, or None if the
     traversal is infeasible (track cannot be held, ground speed collapses,
     or the step budget is exhausted).
@@ -103,6 +109,12 @@ def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None):
     speed is c_par + sqrt(v_bf^2 - c_perp^2). The final step is shortened
     exactly to terminate at the edge length. When trace is a list, a
     (t, s, x, y, z, u, v, g) row is appended per step.
+
+    t_limit is an absolute deadline: the traversal returns None as soon as
+    a step starts at t_start + elapsed >= t_limit. The returned time is at
+    least every earlier step's elapsed, so a traversal with
+    t_start + time < t_limit is never cut and returns the same time as
+    without a deadline.
     """
     v_bf = veh.v_bf
     v_bf2 = v_bf * v_bf
@@ -114,13 +126,17 @@ def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None):
     dx, dy = edge.dx, edge.dy
     x0, y0 = edge.x0, edge.y0
     sqrt = math.sqrt
+    limit = math.inf if t_limit is None else t_limit
     s = 0.0
     elapsed = 0.0
     for _ in range(integ.max_steps):
+        t = t_start + elapsed
+        if t >= limit:
+            return None
         z = _depth(elapsed, z_climb, z_dive, half, period, w_vert)
         x = x0 + s * dx
         y = y0 + s * dy
-        u, v = velocity(x, y, z, t_start + elapsed, env)
+        u, v = velocity(x, y, z, t, env)
         c_par = u * dx + v * dy
         c_perp = -u * dy + v * dx
         if abs(c_perp) >= v_bf:
@@ -129,7 +145,7 @@ def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None):
         if g <= eps:
             return None
         if trace is not None:
-            trace.append((t_start + elapsed, s, x, y, z, u, v, g))
+            trace.append((t, s, x, y, z, u, v, g))
         remaining = length - s
         if g * dt >= remaining:
             return elapsed + remaining / g
@@ -143,9 +159,10 @@ def serial_evaluator(tasks):
     return [task.run() for task in tasks]
 
 
-def make_tasks(edge, t_start, profiles, env, veh, integ):
+def make_tasks(edge, t_start, profiles, env, veh, integ, t_limit=None):
     return [
-        EdgeTask(p.index, edge, t_start, p, env, veh, integ) for p in profiles
+        EdgeTask(p.index, edge, t_start, p, env, veh, integ, t_limit)
+        for p in profiles
     ]
 
 
@@ -173,19 +190,27 @@ def distinct_profiles(profiles, env):
     return out
 
 
-def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None):
+def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None,
+              t_limit=None):
     """Minimum travel time over all profiles, lowest index on ties.
 
     best_profile_index is the winning profile's own index, which is its
     list position when profiles is a full generated set. The evaluator
     maps a task list to a time list ordered by task id; the result is
     identical regardless of the evaluation strategy.
+
+    t_limit is an absolute deadline handed to every traversal
+    (traverse_edge): a profile that cannot arrive before it may report
+    None. The result is the one without a deadline whenever that arrives
+    before t_limit (t_start + best_time < t_limit); otherwise best_time
+    is None or does not arrive before t_limit either.
     """
     if not profiles:
         raise ParameterError("profile set must be non-empty")
     if evaluator is None:
         evaluator = serial_evaluator
-    times = evaluator(make_tasks(edge, t_start, profiles, env, veh, integ))
+    times = evaluator(
+        make_tasks(edge, t_start, profiles, env, veh, integ, t_limit))
     best = None
     best_i = None
     for p, t in zip(profiles, times):

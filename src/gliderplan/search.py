@@ -2,8 +2,15 @@
 
 Label-setting (time-dependent Dijkstra): edge costs are evaluated at the
 arrival time of the settled tail node, no waiting at nodes. Optimality
-requires FIFO edge costs; detected violations are reported on the result
-without aborting.
+requires FIFO edge costs (Kaufman & Smith 1993), under which a settled
+label is final.
+
+plan() does not detect FIFO violations: PathResult.fifo_violations is
+always empty. Heap pops never decrease and travel times are positive, so
+an edge into a settled head m can never arrive before arrival[m]; such
+edges are not flown at all. An edge into an unsettled head is flown with
+the head's tentative arrival as its deadline (cost.edge_cost's t_limit),
+since a later arrival cannot improve the label.
 """
 
 import heapq
@@ -39,7 +46,7 @@ class PathResult:
         return [self.legs[0].frm] + [leg.to for leg in self.legs]
 
 
-def _reconstruct(pred, start, goal, t0, arrival, fifo_violations):
+def _reconstruct(pred, start, goal, t0, arrival):
     legs = []
     node = goal
     while node != start:
@@ -47,15 +54,16 @@ def _reconstruct(pred, start, goal, t0, arrival, fifo_violations):
         legs.append(Leg(edge.frm, edge.to, departure, travel, profile))
         node = edge.frm
     legs.reverse()
-    return PathResult(legs, t0, arrival, fifo_violations)
+    return PathResult(legs, t0, arrival)
 
 
 def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     """Least-arrival-time path from the start terminal to the goal terminal.
 
     Ties in the queue break on (arrival time, node id); an equal-arrival
-    relaxation never replaces an existing predecessor. Each edge is flown
-    once per distinct profile (cost.distinct_profiles).
+    relaxation never replaces an existing predecessor. Each edge into an
+    unsettled node is flown once per distinct profile
+    (cost.distinct_profiles), up to that node's tentative arrival.
     """
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
@@ -64,7 +72,6 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     arrival = {start: t0}
     pred = {}
     settled = set()
-    fifo_violations = []
     heap = [(t0, start)]
     while heap:
         t, n = heapq.heappop(heap)
@@ -72,20 +79,18 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             continue
         settled.add(n)
         if n == goal:
-            return _reconstruct(pred, start, goal, t0, t, fifo_violations)
+            return _reconstruct(pred, start, goal, t0, t)
         for edge in g.adj[n]:
-            result = edge_cost(edge, t, profiles, env, veh, integ, evaluator)
+            m = edge.to
+            if m in settled:
+                continue
+            tentative = arrival.get(m)
+            result = edge_cost(edge, t, profiles, env, veh, integ, evaluator,
+                               t_limit=tentative)
             if result.best_time is None:
                 continue
             arr = t + result.best_time
-            m = edge.to
-            if m in settled:
-                # A settled node reachable earlier via a later departure
-                # indicates a non-FIFO cost schedule.
-                if arr < arrival[m] - 1e-12:
-                    fifo_violations.append((edge.frm, edge.to, t))
-                continue
-            if m not in arrival or arr < arrival[m]:
+            if tentative is None or arr < tentative:
                 arrival[m] = arr
                 pred[m] = (edge, t, result.best_time, result.best_profile_index)
                 heapq.heappush(heap, (arr, m))

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
 from conftest import adverse_surface_time, jet_core_y, straight_edge
@@ -264,6 +265,71 @@ class TestDistinctProfiles:
         res = gp.edge_cost(edge, 0.0, [gp.DiveProfile(20.0, 200.0, 11)],
                            gp.FlowEnvironment.still(), veh, integ)
         assert res.best_profile_index == 11
+
+
+class TestDeadline:
+    """t_limit cuts only traversals that cannot arrive before it."""
+
+    PROFILES = gp.generate_dive_profiles(
+        gp.DiveProfileParams(0.0, 200.0, 40.0, 50.0, 4, 6))
+    VEH = gp.VehicleParams()
+    INTEG = gp.IntegrationParams(dt=0.02)
+
+    @staticmethod
+    def limits(t_start, time, frac):
+        """Deadlines around an unbounded result: part of the way, the
+        arrival itself and the floats on either side of it."""
+        if time is None:
+            return [t_start, t_start + frac]
+        arrival = t_start + time
+        return [t_start, t_start + frac * time, arrival,
+                math.nextafter(arrival, -math.inf),
+                math.nextafter(arrival, math.inf)]
+
+    CASES = dict(
+        x0=st.floats(0.0, 7.6), y0=st.floats(-1.5, 1.5),
+        heading=st.floats(0.0, 2.0 * math.pi), length=st.floats(0.05, 0.6),
+        t_start=st.floats(0.0, 8.0), frac=st.floats(0.0, 1.5),
+        mode=st.sampled_from(["full", "surface", "jet"]))
+
+    @staticmethod
+    def edge(x0, y0, heading, length):
+        return straight_edge(x0, y0, x0 + length * math.cos(heading),
+                             y0 + length * math.sin(heading))
+
+    @settings(max_examples=200, deadline=None)
+    @given(**CASES, k=st.integers(0, 19))
+    def test_traverse_edge(self, x0, y0, heading, length, t_start, frac,
+                           mode, k):
+        args = (self.edge(x0, y0, heading, length), t_start,
+                self.PROFILES[k], gp.FlowEnvironment(mode=mode), self.VEH,
+                self.INTEG)
+        free = gp.traverse_edge(*args)
+        assert repr(gp.traverse_edge(*args, t_limit=None)) == repr(free)
+        for limit in self.limits(t_start, free, frac):
+            bounded = gp.traverse_edge(*args, t_limit=limit)
+            if free is not None and t_start + free < limit:
+                assert repr(bounded) == repr(free)  # bit-exact
+            else:
+                assert bounded is None or repr(bounded) == repr(free)
+            if limit <= t_start:
+                assert bounded is None
+
+    @settings(max_examples=50, deadline=None)
+    @given(**CASES)
+    def test_edge_cost(self, x0, y0, heading, length, t_start, frac, mode):
+        args = (self.edge(x0, y0, heading, length), t_start, self.PROFILES,
+                gp.FlowEnvironment(mode=mode), self.VEH, self.INTEG)
+        free = gp.edge_cost(*args)
+        assert gp.edge_cost(*args, t_limit=None) == free
+        for limit in self.limits(t_start, free.best_time, frac):
+            bounded = gp.edge_cost(*args, t_limit=limit)
+            if free.best_time is not None and t_start + free.best_time < limit:
+                assert repr(bounded.best_time) == repr(free.best_time)
+                assert bounded.best_profile_index == free.best_profile_index
+            else:
+                assert (bounded.best_time is None
+                        or t_start + bounded.best_time >= limit)
 
 
 class TestParamValidation:

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import gliderplan as gp
+from conftest import EXAMPLE_MISSION
 
 
 def make_instance(seed):
@@ -26,6 +27,26 @@ def make_instance(seed):
     integ = gp.IntegrationParams(dt=0.05)
     t0 = rng.uniform(0, 3)
     return g, t0, profiles, env, veh, integ
+
+
+def example_instance(t0=None):
+    """The example mission's planning instance, at its own t0 or another."""
+    cfg = gp.parse_mission(str(EXAMPLE_MISSION))
+    g = gp.build_grid(cfg.grid)
+    gp.insert_terminal(g, *cfg.start, "start")
+    gp.insert_terminal(g, *cfg.goal, "goal")
+    profiles = gp.generate_dive_profiles(cfg.profile_params)
+    return (g, cfg.t0 if t0 is None else t0, profiles, cfg.env, cfg.vehicle,
+            cfg.integration)
+
+
+def recording(evaluator, calls):
+    """evaluator that also appends (tasks, times) of each call to calls."""
+    def evaluate(tasks):
+        times = evaluator(tasks)
+        calls.append((tasks, times))
+        return times
+    return evaluate
 
 
 def fifo_holds(g, t0, profiles, env, veh, integ, n_edges=12, n_times=4):
@@ -128,6 +149,38 @@ class TestPlanBasics:
                                gp.pool_evaluator(pool))
         assert serial.legs == parallel.legs
         assert serial.arrival == parallel.arrival
+
+
+class TestCostedEdges:
+    def test_no_edge_into_a_settled_head(self):
+        for inst in [make_instance(seed) for seed in range(6)] + [
+                example_instance()]:
+            calls = []
+            gp.plan(*inst, recording(gp.serial_evaluator, calls))
+            assert calls
+            tails = set()
+            for tasks, _times in calls:
+                edge = tasks[0].edge
+                tails.add(edge.frm)
+                assert edge.to not in tails
+
+    def test_pool_and_serial_cut_the_same_traversals(self):
+        inst = example_instance(t0=2.0)
+        serial_calls, pool_calls = [], []
+        serial = gp.plan(*inst, recording(gp.serial_evaluator, serial_calls))
+        with gp.WorkerPool(gp.EngineConfig(2)) as pool:
+            parallel = gp.plan(*inst, recording(gp.pool_evaluator(pool),
+                                                pool_calls))
+        assert serial == parallel
+
+        def nones(calls):
+            return [t is None for _tasks, times in calls for t in times]
+
+        assert nones(serial_calls) == nones(pool_calls)
+        cut = [task for tasks, times in serial_calls
+               for task, t in zip(tasks, times)
+               if t is None and task._replace(t_limit=None).run() is not None]
+        assert cut  # the deadlines did cut traversals
 
 
 class TestBruteForce:
