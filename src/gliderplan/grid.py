@@ -8,6 +8,8 @@ terminals are inserted off-lattice and linked to nearby grid nodes.
 
 import math
 from dataclasses import dataclass
+from math import hypot
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -40,15 +42,16 @@ class GridSpec:
                                   self.y_max - self.y_min))
 
 
-@dataclass(frozen=True)
-class Node:
+# One Edge is made per lattice edge (125,262 on the benchmark lattice); as
+# named tuples Node and Edge cost a fraction of a frozen dataclass to build
+# and to hold.
+class Node(NamedTuple):
     id: int
     x: float
     y: float
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """Directed edge with a full geometry snapshot so cost evaluation
     needs no access to the graph."""
 
@@ -61,6 +64,11 @@ class Edge:
     length: float
     dx: float
     dy: float
+
+
+# Builds an Edge from a field tuple, skipping the named tuple's generated
+# Python __new__ (as ocean._sample does for FlowSample).
+_edge = tuple.__new__
 
 
 class Graph:
@@ -80,14 +88,15 @@ class Graph:
         return node.id
 
     def add_edge(self, a, b):
-        na, nb = self.nodes[a], self.nodes[b]
-        ex, ey = nb.x - na.x, nb.y - na.y
-        length = math.hypot(ex, ey)
+        _, ax, ay = self.nodes[a]
+        _, bx, by = self.nodes[b]
+        ex, ey = bx - ax, by - ay
+        length = hypot(ex, ey)
         if length == 0.0:
-            raise ParameterError("zero-length edge")
-        self.adj[a].append(
-            Edge(a, b, na.x, na.y, nb.x, nb.y, length, ex / length, ey / length)
-        )
+            raise ParameterError("zero-length edge %d -> %d at (%g, %g)"
+                                 % (a, b, ax, ay))
+        self.adj[a].append(_edge(
+            Edge, (a, b, ax, ay, bx, by, length, ex / length, ey / length)))
 
     def edges(self):
         for lst in self.adj:
@@ -120,13 +129,14 @@ def build_grid(spec):
         for i in range(nx):
             g.add_node(spec.x_min + i * spec.h, spec.y_min + j * spec.h)
     offsets = coprime_offsets(spec.sector_order)
+    add_edge = g.add_edge
     for j in range(ny):
         for i in range(nx):
             a = j * nx + i
             for di, dj in offsets:
                 ii, jj = i + di, j + dj
                 if 0 <= ii < nx and 0 <= jj < ny:
-                    g.add_edge(a, jj * nx + ii)
+                    add_edge(a, jj * nx + ii)
     return g
 
 

@@ -3,6 +3,7 @@ import math
 import pytest
 
 import gliderplan as gp
+from conftest import straight_edge
 from gliderplan.grid import degree_histogram, graph_stats_rows
 
 
@@ -87,6 +88,105 @@ class TestBuildGrid:
     def test_too_small_box_rejected(self):
         with pytest.raises(gp.ParameterError):
             gp.GridSpec(0, 0.3, 0, 0.3, 0.4, 3)
+
+
+def lattice_edges(g, spec, a):
+    """Reference out-edges of lattice node a: the neighbours in
+    coprime_offsets order, geometry from the node coordinates."""
+    nx, ny = spec.shape
+    i, j = a % nx, a // nx
+    na = g.nodes[a]
+    out = []
+    for di, dj in gp.coprime_offsets(spec.sector_order):
+        ii, jj = i + di, j + dj
+        if 0 <= ii < nx and 0 <= jj < ny:
+            nb = g.nodes[jj * nx + ii]
+            out.append(straight_edge(na.x, na.y, nb.x, nb.y, a, nb.id))
+    return out
+
+
+EXACT_SPECS = [
+    gp.GridSpec(0, 0.7, 0, 0.5, 0.1, 3),        # h not exact in binary
+    gp.GridSpec(-1, 2, -1.5, 1.2, 0.3, 1),      # negative y_min, order 1
+    gp.GridSpec(0.5, 3.7, -0.9, 0.9, 0.3, 3),
+    gp.GridSpec(0, 2.4, -0.8, 0.8, 0.4, 2),
+]
+
+
+class TestExactGeometry:
+    """Every float of the graph is what the reference formula gives, and
+    edges come in offset-table order; the byte-identical outputs and the
+    search's tie-breaking rest on both."""
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_lattice_edges_bit_exact_and_ordered(self, spec):
+        g = gp.build_grid(spec)
+        nx, ny = spec.shape
+        assert len(g.nodes) == nx * ny
+        for node in g.nodes:
+            i, j = node.id % nx, node.id // nx
+            assert (node.x, node.y) == (spec.x_min + i * spec.h,
+                                        spec.y_min + j * spec.h)
+            assert g.adj[node.id] == lattice_edges(g, spec, node.id)
+
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_terminal_edges_bit_exact_and_ordered(self, spec):
+        g = gp.build_grid(spec)
+        n_grid = len(g.nodes)
+        x = spec.x_min + 0.37 * (spec.x_max - spec.x_min)
+        y = spec.y_min + 0.61 * (spec.y_max - spec.y_min)
+        sid = gp.insert_terminal(g, x, y, "start")
+        gid = gp.insert_terminal(g, spec.x_max - 0.45 * spec.h,
+                                 spec.y_min + 0.2 * spec.h, "goal")
+        radius = spec.sector_order * spec.h
+        near = {}
+        for tid in (sid, gid):
+            t = g.nodes[tid]
+            near[tid] = [n for n in g.nodes[:n_grid]
+                         if 0.0 < math.hypot(n.x - t.x, n.y - t.y) <= radius]
+            assert near[tid]
+            assert g.adj[tid] == [straight_edge(t.x, t.y, n.x, n.y, tid, n.id)
+                                  for n in near[tid]]
+        for n in g.nodes[:n_grid]:
+            back = [straight_edge(n.x, n.y, g.nodes[tid].x, g.nodes[tid].y,
+                                  n.id, tid)
+                    for tid in (sid, gid) if n in near[tid]]
+            assert g.adj[n.id] == lattice_edges(g, spec, n.id) + back
+
+
+class TestZeroLengthEdge:
+    def test_collapsed_coordinates_rejected(self):
+        # at 1e17 the spacing of doubles is 16, so lattice points 1.0
+        # apart collapse onto one another
+        spec = gp.GridSpec(1e17, 1e17 + 64, 0, 4, 1.0, 1)
+        with pytest.raises(gp.ParameterError,
+                           match=r"^zero-length edge 0 -> 1 at \(1e\+17, 0\)$"):
+            gp.build_grid(spec)
+
+
+NODE_FIELDS = ("id", "x", "y")
+EDGE_FIELDS = ("frm", "to", "x0", "y0", "x1", "y1", "length", "dx", "dy")
+
+
+class TestValueMessages:
+    """Node and Edge are immutable values with a fixed field order, so
+    positional construction cannot silently permute them."""
+
+    def test_fields(self):
+        assert gp.Node._fields == NODE_FIELDS
+        assert gp.Edge._fields == EDGE_FIELDS
+
+    @pytest.mark.parametrize("field", EDGE_FIELDS)
+    def test_edge_immutable(self, field):
+        e = straight_edge(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(AttributeError):
+            setattr(e, field, 0)
+
+    @pytest.mark.parametrize("field", NODE_FIELDS)
+    def test_node_immutable(self, field):
+        node = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 1.0, 1)).nodes[0]
+        with pytest.raises(AttributeError):
+            setattr(node, field, 1)
 
 
 class TestInsertTerminal:

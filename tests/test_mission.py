@@ -246,6 +246,20 @@ class TestCmdPlan:
         p.write_text('<mission><dive_profiles n_dive_levels="0"/></mission>')
         assert main(["plan", "--mission", str(p)]) == 3
 
+    def test_zero_length_edge_exit_code(self, tmp_path, capsys):
+        # lattice points 1.0 apart collapse at x = 1e17
+        p = tmp_path / "collapsed.xml"
+        p.write_text(STILL_MISSION.replace(
+            '<grid x_min="0" x_max="1" y_min="0" y_max="1" h="0.5"',
+            '<grid x_min="1e17" x_max="1.0000000000000006e+17" y_min="0"'
+            ' y_max="4" h="1"').replace(
+            '<start x="0.0"', '<start x="1e17"').replace(
+            '<goal x="1.0"', '<goal x="1e17"'))
+        assert main(["plan", "--mission", str(p), "--out",
+                     str(tmp_path / "out")]) == 3
+        assert "config error: zero-length edge 0 -> 1 at (1e+17, 0)" \
+            in capsys.readouterr().err
+
     def test_path_xml_reparses_to_consistent_result(self, still_mission,
                                                     tmp_path):
         out = tmp_path / "out"
