@@ -108,9 +108,6 @@ def cmd_plan(args):
     write_plan_outputs(cfg, result, graph, args.out)
     print("path: %d legs, arrival %.6f (search %.3f s, total %.3f s)"
           % (len(result.legs), result.arrival, search_s, total_s))
-    if result.fifo_violations:
-        print("warning: %d FIFO violation(s) detected during planning"
-              % len(result.fifo_violations))
     return EXIT_OK
 
 

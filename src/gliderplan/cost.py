@@ -47,6 +47,11 @@ class IntegrationParams:
 
 # EdgeCostResult and EdgeTask are made per edge and per profile in the
 # search loop; as named tuples they cost a fraction of a frozen dataclass.
+# make_tasks and edge_cost build them with tuple.__new__, as ocean._sample
+# builds FlowSample, which skips the generated __new__'s Python frame.
+_new = tuple.__new__
+
+
 class EdgeCostResult(NamedTuple):
     """Minimum travel time over the profile set. Infeasible traversals are
     represented as None, never as a sentinel number."""
@@ -161,7 +166,7 @@ def serial_evaluator(tasks):
 
 def make_tasks(edge, t_start, profiles, env, veh, integ, t_limit=None):
     return [
-        EdgeTask(p.index, edge, t_start, p, env, veh, integ, t_limit)
+        _new(EdgeTask, (p.index, edge, t_start, p, env, veh, integ, t_limit))
         for p in profiles
     ]
 
@@ -217,4 +222,4 @@ def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None,
         if t is not None and (best is None or t < best):
             best = t
             best_i = p.index
-    return EdgeCostResult(best, best_i, tuple(times))
+    return _new(EdgeCostResult, (best, best_i, tuple(times)))

@@ -20,6 +20,10 @@ ASLEEP = "asleep"
 AWAKE = "awake"
 BUSY = "busy"
 
+# How long (s) the master waits on a result before it checks that every
+# worker thread is still alive: a dead worker never sends its result.
+_LIVENESS_CHECK_S = 0.1
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -155,7 +159,7 @@ class WorkerPool:
             for wid, task in enumerate(chunk):
                 self._inboxes[wid].put(("task", task))
             for _ in chunk:
-                res = self._results.get()
+                res = self._next_result(chunk, results)
                 results[res.task_id] = res
                 if res.error is not None:
                     failed.append(res.task_id)
@@ -164,6 +168,21 @@ class WorkerPool:
                 "worker failure on %d task(s)" % len(failed), sorted(failed)
             )
         return [results[i] for i in sorted(results)]
+
+    def _next_result(self, chunk, results):
+        """The next TaskResult of the round that dispatched chunk. Raises
+        EngineError, with the round's task ids still without a result, once
+        a worker thread has died."""
+        while True:
+            try:
+                return self._results.get(timeout=_LIVENESS_CHECK_S)
+            except queue.Empty:
+                if all(th.is_alive() for th in self._threads):
+                    continue
+            missing = [t.task_id for t in chunk if t.task_id not in results]
+            raise EngineError(
+                "worker thread died; %d task(s) without a result"
+                % len(missing), sorted(missing))
 
     def shutdown(self):
         if not self._alive:

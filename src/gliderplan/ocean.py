@@ -4,10 +4,23 @@ An eastward meandering jet derived from a stream function, plus a
 wind-driven surface term that decays linearly to zero at a fixed depth.
 Horizontal coordinates and velocities are dimensionless; depth is in
 meters, positive down.
+
+Each FlowEnvironment binds its field once, when it is made: _bind builds
+one closure uv(x, y, z, t) -> FlowSample for its mode, with the jet and
+surface constants read once. velocity() checks the depth and calls it, so
+an integrator step pays neither a mode dispatch nor parameter reads.
+
+The jet velocity is written once, in _jet_field, and the surface term
+once, in _surface_field; jet_velocity and surface_term evaluate through
+them. meander_amplitude's expression is repeated inline in _jet_field,
+and the tests pin the two bit for bit. The closures keep the formulas'
+float expressions: only k * k, k ** 3 and d * omega, each the first
+operation of its product, are computed ahead. So every sample is
+bit-identical to the formulas evaluated term by term.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -83,6 +96,14 @@ class FlowEnvironment:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError("unknown flow mode %r" % (self.mode,))
+        # A plain attribute, not a field: fields() of this class is the
+        # <flow> element's schema (mission._section), and ==, hash and
+        # repr read the fields alone.
+        object.__setattr__(self, "_uv", _bind(self))
+
+    def __reduce__(self):
+        # pickle cannot carry the bound closure; rebuild it from the fields
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def still(cls):
@@ -94,7 +115,10 @@ class FlowEnvironment:
 
 
 def meander_amplitude(t, jet):
-    """Time-dependent meander amplitude B(t)."""
+    """Time-dependent meander amplitude B(t).
+
+    _jet_field writes the same expression; tests pin the two bit for bit.
+    """
     return jet.B0 + jet.epsilon * math.cos(jet.omega * t + jet.theta)
 
 
@@ -109,29 +133,93 @@ def stream_function(x, y, t, jet):
     return 1.0 - math.tanh(num / den)
 
 
-def _jet_uv(x, y, t, jet):
-    """Horizontal jet velocity as a plain (u, v) tuple from the analytic
-    stream-function gradient: u = -dphi/dy, v = dphi/dx."""
+def _jet_field(jet, surface_u):
+    """The jet velocity as a closure uv(x, y, z, t) -> FlowSample, from the
+    analytic stream-function gradient (u = -dphi/dy, v = dphi/dx), with
+    surface_u(z, t) added to u."""
     k = jet.k
-    a = k * (x - jet.c * t)
-    B = meander_amplitude(t, jet)
-    sa = math.sin(a)
-    ca = math.cos(a)
-    n = y - B * ca
-    g = 1.0 + k * k * B * B * sa * sa
-    d = math.sqrt(g)
-    q = n / d
-    ch = math.cosh(q)
-    sech2 = 1.0 / (ch * ch)
-    # dq/dx = (dn/dx * d - n * dd/dx) / g with
-    # dn/dx = B k sin(a), dd/dx = k^3 B^2 sin(a) cos(a) / d
-    dq_dx = (B * k * sa * d - n * (k ** 3) * B * B * sa * ca / d) / g
-    return sech2 / d, -sech2 * dq_dx
+    c = jet.c
+    B0 = jet.B0
+    epsilon = jet.epsilon
+    omega = jet.omega
+    theta = jet.theta
+    # Exact pre-binds: each is the first operation of its product below.
+    k2 = k * k
+    k3 = k ** 3
+    sin = math.sin
+    cos = math.cos
+    cosh = math.cosh
+    sqrt = math.sqrt
+
+    def uv(x, y, z, t):
+        a = k * (x - c * t)
+        B = B0 + epsilon * cos(omega * t + theta)
+        sa = sin(a)
+        ca = cos(a)
+        n = y - B * ca
+        g = 1.0 + k2 * B * B * sa * sa
+        d = sqrt(g)
+        q = n / d
+        ch = cosh(q)
+        sech2 = 1.0 / (ch * ch)
+        # dq/dx = (dn/dx * d - n * dd/dx) / g with
+        # dn/dx = B k sin(a), dd/dx = k^3 B^2 sin(a) cos(a) / d
+        dq_dx = (B * k * sa * d - n * k3 * B * B * sa * ca / d) / g
+        return _sample(FlowSample,
+                       (sech2 / d + surface_u(z, t), -sech2 * dq_dx))
+
+    return uv
+
+
+def _no_surface(z, t):
+    # The jet alone: its u = sech2 / d is never -0.0, so u + 0.0 is u.
+    return 0.0
+
+
+def _surface_field(surf, omega):
+    """The surface term's u contribution as a closure surface_u(z, t);
+    zero at and below z_decay. It does not check the depth."""
+    W0 = surf.W0
+    z_decay = surf.z_decay
+    d_omega = surf.d * omega  # exact: the first operation of the product
+    cos = math.cos
+
+    def surface_u(z, t):
+        shape = 1.0 - z / z_decay
+        if shape <= 0.0:
+            return 0.0
+        return W0 * cos(d_omega * t) * shape
+
+    return surface_u
+
+
+def _bind(env):
+    """env's field as one closure uv(x, y, z, t) -> FlowSample for its mode.
+    The depth is checked by velocity(), not here."""
+    mode = env.mode
+    if mode == MODE_FULL:
+        return _jet_field(env.jet, _surface_field(env.surface, env.jet.omega))
+    if mode == MODE_JET:
+        return _jet_field(env.jet, _no_surface)
+    if mode == MODE_SURFACE:
+        surface_u = _surface_field(env.surface, env.jet.omega)
+
+        def uv(x, y, z, t):
+            return _sample(FlowSample, (surface_u(z, t), 0.0))
+
+        return uv
+    sample = _sample(FlowSample,
+                     (env.ux, env.uy) if mode == MODE_UNIFORM else (0.0, 0.0))
+
+    def uv(x, y, z, t):
+        return sample
+
+    return uv
 
 
 def jet_velocity(x, y, t, jet):
     """Horizontal jet velocity (u, v) at (x, y, t)."""
-    return _sample(FlowSample, _jet_uv(x, y, t, jet))
+    return _jet_field(jet, _no_surface)(x, y, 0.0, t)
 
 
 def surface_term(z, t, surf, omega):
@@ -141,10 +229,7 @@ def surface_term(z, t, surf, omega):
     """
     if z < 0:
         raise ParameterError("depth z must be >= 0")
-    shape = 1.0 - z / surf.z_decay
-    if shape <= 0.0:
-        return 0.0
-    return surf.W0 * math.cos(surf.d * omega * t) * shape
+    return _surface_field(surf, omega)(z, t)
 
 
 def depth_independent_below(env):
@@ -162,20 +247,9 @@ def depth_independent_below(env):
 
 
 def velocity(x, y, z, t, env):
-    """Current sample at horizontal position (x, y), depth z (m), time t."""
+    """Current sample at horizontal position (x, y), depth z (m), time t.
+
+    The field is env's closure, bound once when env was made."""
     if z < 0:
         raise ParameterError("depth z must be >= 0")
-    mode = env.mode
-    if mode == MODE_FULL:
-        jet = env.jet
-        u, v = _jet_uv(x, y, t, jet)
-        return _sample(FlowSample,
-                       (u + surface_term(z, t, env.surface, jet.omega), v))
-    if mode == MODE_JET:
-        return _sample(FlowSample, _jet_uv(x, y, t, env.jet))
-    if mode == MODE_SURFACE:
-        return _sample(FlowSample,
-                       (surface_term(z, t, env.surface, env.jet.omega), 0.0))
-    if mode == MODE_UNIFORM:
-        return _sample(FlowSample, (env.ux, env.uy))
-    return _sample(FlowSample, (0.0, 0.0))
+    return env._uv(x, y, z, t)

@@ -3,18 +3,17 @@
 Label-setting (time-dependent Dijkstra): edge costs are evaluated at the
 arrival time of the settled tail node, no waiting at nodes. Optimality
 requires FIFO edge costs (Kaufman & Smith 1993), under which a settled
-label is final.
+label is final; plan() assumes them and does not check them.
 
-plan() does not detect FIFO violations: PathResult.fifo_violations is
-always empty. Heap pops never decrease and travel times are positive, so
-an edge into a settled head m can never arrive before arrival[m]; such
-edges are not flown at all. An edge into an unsettled head is flown with
-the head's tentative arrival as its deadline (cost.edge_cost's t_limit),
-since a later arrival cannot improve the label.
+Heap pops never decrease and travel times are positive, so an edge into a
+settled head m can never arrive before arrival[m]; such edges are not
+flown at all. An edge into an unsettled head is flown with the head's
+tentative arrival as its deadline (cost.edge_cost's t_limit), since a
+later arrival cannot improve the label.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cost import distinct_profiles, edge_cost
 from .errors import NoPathError, ParameterError
@@ -34,7 +33,6 @@ class PathResult:
     legs: list
     t0: float
     arrival: float
-    fifo_violations: list = field(default_factory=list)
 
     @property
     def total_time(self):

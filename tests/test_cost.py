@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
+import gliderplan.cost
 from conftest import adverse_surface_time, jet_core_y, straight_edge
 
 
@@ -125,6 +126,27 @@ class TestTraverseEdge:
         svals = [row[1] for row in trace]
         assert svals == sorted(svals)
         assert all(len(row) == 8 for row in trace)
+
+    @pytest.mark.parametrize("env", [gp.FlowEnvironment(),
+                                     gp.FlowEnvironment.still()])
+    def test_one_velocity_call_per_step(self, monkeypatch, veh, integ, env):
+        # the benchmark counts field evaluations at cost.velocity
+        calls = []
+        real = gliderplan.cost.velocity
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(gliderplan.cost, "velocity", counted)
+        trace = []
+        time = gp.traverse_edge(straight_edge(0.0, 1.2, 0.4, 1.2), 0.0,
+                                gp.DiveProfile(0.0, 200.0, 0), env, veh,
+                                integ, trace=trace)
+        assert time is not None
+        assert len(calls) == len(trace) > 1
+        assert [(x, y, z, t) for x, y, z, t, _env in calls] == [
+            (x, y, z, t) for t, _s, x, y, z, _u, _v, _g in trace]
 
     def test_deep_profile_beats_shallow_in_adverse_surface(
             self, veh, default_env):

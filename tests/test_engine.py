@@ -1,3 +1,4 @@
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -32,6 +33,23 @@ class ExitTask:
 
     def run(self):
         raise SystemExit(1)
+
+
+class LosingQueue(queue.Queue):
+    """A result queue whose first put raises, in the worker that calls it:
+    that worker thread dies outside task.run() and its result is lost."""
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+        self.lost = False
+
+    def put(self, item, block=True, timeout=None):
+        with self._lock:
+            lose, self.lost = not self.lost, True
+        if lose:
+            raise RuntimeError("result lost")
+        super().put(item, block, timeout)
 
 
 def wait_for_states(pool, predicate, timeout=2.0):
@@ -166,6 +184,30 @@ class TestDelegate:
         # both workers survive and still take work
         assert [r.value for r in pool.delegate(
             [SleepTask(0, 0.0), SleepTask(1, 0.0)])] == [0, 1]
+        pool.shutdown()
+        assert not any(t.is_alive() for t in pool._threads)
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_dead_worker_fails_delegate_not_hangs(self):
+        pool = gp.start_pool(gp.EngineConfig(2))
+        pool._results = LosingQueue()
+        outcome = []
+
+        def master():
+            try:
+                pool.delegate([SleepTask(0, 0.0), SleepTask(1, 0.0)])
+            except gp.EngineError as exc:
+                outcome.append(exc.task_ids)
+
+        th = threading.Thread(target=master, daemon=True)
+        th.start()
+        th.join(timeout=5.0)
+        assert not th.is_alive(), "delegate blocked on a dead worker"
+        assert pool._results.lost
+        # one worker died holding its task's result; the other delivered
+        assert sum(t.is_alive() for t in pool._threads) == 1
+        assert outcome in ([(0,)], [(1,)])
         pool.shutdown()
         assert not any(t.is_alive() for t in pool._threads)
 

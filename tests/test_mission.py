@@ -3,12 +3,14 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import gliderplan as gp
-from gliderplan.cli import main, parse_worker_list
+import gliderplan.cli
+from gliderplan.cli import main, parse_worker_list, run_plan
 from gliderplan.mission import read_path_xml, write_path_xml
 from gliderplan.search import Leg, PathResult
 
@@ -232,6 +234,22 @@ class TestCmdPlan:
             [sys.executable, "-c", code, still_mission, str(tmp_path / "out")],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_interrupted_pool_plan_shuts_the_pool_down(self, example_mission,
+                                                       monkeypatch):
+        cfg = gp.parse_mission(example_mission)
+        before = set(threading.enumerate())
+        workers = []
+
+        def interrupted(*args):
+            workers.extend(set(threading.enumerate()) - before)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(gliderplan.cli, "plan", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_plan(cfg, parallel=True)
+        assert len(workers) == cfg.engine.n_workers
+        assert not any(t.is_alive() for t in workers)
 
     def test_no_path_exit_code(self, tmp_path):
         p = tmp_path / "blocked.xml"

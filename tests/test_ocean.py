@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
-from gliderplan.ocean import (MODE_JET, MODE_STILL, MODE_SURFACE,
+from gliderplan.ocean import (MODE_FULL, MODE_JET, MODE_STILL, MODE_SURFACE,
                               MODE_UNIFORM, MODES, depth_independent_below)
 
 
@@ -187,6 +190,128 @@ class TestVelocity:
             b = gp.velocity(x + period, y, 5.0, t, env)
             assert a.u == pytest.approx(b.u, abs=1e-12)
             assert a.v == pytest.approx(b.v, abs=1e-12)
+
+
+def reference_amplitude(t, jet):
+    return jet.B0 + jet.epsilon * math.cos(jet.omega * t + jet.theta)
+
+
+def reference_jet_uv(x, y, t, jet):
+    """The jet velocity expressions as first written, read from the
+    parameters on every call; the reference the bound field must match
+    bit for bit."""
+    k = jet.k
+    a = k * (x - jet.c * t)
+    B = reference_amplitude(t, jet)
+    sa = math.sin(a)
+    ca = math.cos(a)
+    n = y - B * ca
+    g = 1.0 + k * k * B * B * sa * sa
+    d = math.sqrt(g)
+    q = n / d
+    ch = math.cosh(q)
+    sech2 = 1.0 / (ch * ch)
+    dq_dx = (B * k * sa * d - n * (k ** 3) * B * B * sa * ca / d) / g
+    return sech2 / d, -sech2 * dq_dx
+
+
+def reference_surface(z, t, surf, omega):
+    shape = 1.0 - z / surf.z_decay
+    if shape <= 0.0:
+        return 0.0
+    return surf.W0 * math.cos(surf.d * omega * t) * shape
+
+
+def reference_velocity(x, y, z, t, env):
+    """velocity() with the mode dispatched on every call."""
+    if z < 0:
+        raise gp.ParameterError("depth z must be >= 0")
+    if env.mode == MODE_FULL:
+        u, v = reference_jet_uv(x, y, t, env.jet)
+        return u + reference_surface(z, t, env.surface, env.jet.omega), v
+    if env.mode == MODE_JET:
+        return reference_jet_uv(x, y, t, env.jet)
+    if env.mode == MODE_SURFACE:
+        return reference_surface(z, t, env.surface, env.jet.omega), 0.0
+    if env.mode == MODE_UNIFORM:
+        return env.ux, env.uy
+    return 0.0, 0.0
+
+
+def bits(values):
+    """Float values as hex strings: equal only if bit-identical, so -0.0
+    differs from 0.0."""
+    return tuple(float(v).hex() for v in values)
+
+
+JETS = st.builds(gp.JetParams, B0=st.floats(0.1, 3.0),
+                 epsilon=st.floats(0.0, 1.0), omega=st.floats(-1.0, 1.0),
+                 theta=st.floats(-math.pi, math.pi), k=st.floats(0.1, 3.0),
+                 c=st.floats(-1.0, 1.0))
+SURFACES = st.builds(gp.SurfaceCurrentParams, W0=st.floats(-2.0, 2.0),
+                     d=st.floats(-4.0, 4.0), z_decay=st.floats(0.5, 100.0))
+# depth as a multiple of z_decay: the surface, above z_decay, exactly at it
+# and below it
+DEPTH_FRACTIONS = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0),
+                            st.floats(1.0, 20.0))
+
+
+class TestBoundField:
+    @settings(max_examples=300, deadline=None)
+    @given(mode=st.sampled_from(MODES), jet=JETS, surface=SURFACES,
+           ux=st.floats(-1.0, 1.0), uy=st.floats(-1.0, 1.0),
+           x=st.floats(-20.0, 20.0), y=st.floats(-5.0, 5.0),
+           t=st.floats(-50.0, 50.0), frac=DEPTH_FRACTIONS)
+    def test_bit_identical_to_reference(self, mode, jet, surface, ux, uy,
+                                        x, y, t, frac):
+        env = gp.FlowEnvironment(jet, surface, mode, ux, uy)
+        z = frac * surface.z_decay
+        sample = gp.velocity(x, y, z, t, env)
+        assert type(sample) is gp.FlowSample
+        assert bits(sample) == bits(reference_velocity(x, y, z, t, env))
+        assert bits(gp.jet_velocity(x, y, t, jet)) == bits(
+            reference_jet_uv(x, y, t, jet))
+        assert bits([gp.surface_term(z, t, surface, jet.omega)]) == bits(
+            [reference_surface(z, t, surface, jet.omega)])
+        assert bits([gp.meander_amplitude(t, jet)]) == bits(
+            [reference_amplitude(t, jet)])
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("z", [-1e-300, -0.5, -math.inf])
+    def test_negative_depth_rejected_in_every_mode(self, mode, z):
+        with pytest.raises(gp.ParameterError):
+            gp.velocity(0.0, 0.0, z, 0.0, gp.FlowEnvironment(mode=mode))
+
+    def test_value_semantics_unchanged(self):
+        names = [f.name for f in dataclasses.fields(gp.FlowEnvironment)]
+        assert names == ["jet", "surface", "mode", "ux", "uy"]
+        a = gp.FlowEnvironment.uniform(0.1, -0.2)
+        b = gp.FlowEnvironment(gp.JetParams(), gp.SurfaceCurrentParams(),
+                               MODE_UNIFORM, 0.1, -0.2)
+        assert a == b and hash(a) == hash(b)
+        assert a != gp.FlowEnvironment.uniform(0.1, 0.2)
+        assert repr(a) == (
+            "FlowEnvironment(jet=%r, surface=%r, mode='uniform', ux=0.1, "
+            "uy=-0.2)" % (gp.JetParams(), gp.SurfaceCurrentParams()))
+
+    def test_replace_rebinds_the_field(self):
+        env = gp.FlowEnvironment()
+        for changed in (dict(jet=gp.JetParams(B0=2.0)),
+                        dict(surface=gp.SurfaceCurrentParams(W0=-1.0)),
+                        dict(mode=MODE_UNIFORM, ux=0.3, uy=0.4)):
+            new = dataclasses.replace(env, **changed)
+            for x, y, z, t in [(0.3, 0.2, 1.0, 0.5), (1.7, -0.4, 6.0, 2.5)]:
+                assert gp.velocity(x, y, z, t, new) == reference_velocity(
+                    x, y, z, t, new)
+                assert gp.velocity(x, y, z, t, new) != gp.velocity(
+                    x, y, z, t, env)
+
+    def test_pickle_rebinds_the_field(self):
+        env = gp.FlowEnvironment(gp.JetParams(B0=2.0))
+        copy = pickle.loads(pickle.dumps(env))
+        assert copy == env
+        assert gp.velocity(0.3, 0.2, 1.0, 0.5, copy) == gp.velocity(
+            0.3, 0.2, 1.0, 0.5, env)
 
 
 class TestParamValidation:
