@@ -2,9 +2,9 @@
 gliders, with per-edge dive-profile cost evaluation delegated to a
 master/worker pool."""
 
-from .cost import (EdgeCostResult, EdgeTask, IntegrationParams, VehicleParams,
-                   distinct_profiles, edge_cost, sawtooth_depth,
-                   serial_evaluator, traverse_edge)
+from .cost import (EdgeCostResult, EdgeTask, Family, IntegrationParams,
+                   VehicleParams, edge_cost, profile_families, sawtooth_depth,
+                   serial_evaluator, solo_families, traverse_edge)
 from .engine import (EngineConfig, TaskResult, WorkerPool, noop_run,
                      pool_evaluator, rounds_required, start_pool)
 from .errors import ConfigError, EngineError, NoPathError, ParameterError

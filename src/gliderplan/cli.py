@@ -10,7 +10,7 @@ import statistics
 import sys
 import time
 
-from .cost import traverse_edge
+from .cost import solo_families, traverse_edge
 from .engine import EngineConfig, WorkerPool, noop_run, pool_evaluator
 from .errors import ConfigError, NoPathError, ParameterError
 from .grid import build_grid, graph_stats_rows, insert_terminal
@@ -86,8 +86,9 @@ def write_plan_outputs(cfg, result, graph, out_dir):
     for i, leg in enumerate(result.legs):
         edge = _find_edge(graph, leg.frm, leg.to)
         trace = []
-        traverse_edge(edge, leg.departure, profiles[leg.profile_index],
-                      cfg.env, cfg.vehicle, cfg.integration, trace=trace)
+        family, = solo_families([profiles[leg.profile_index]], cfg.vehicle)
+        traverse_edge(edge, leg.departure, family, cfg.env, cfg.vehicle,
+                      cfg.integration, trace=trace)
         for t, s, x, y, z, u, v, g in trace:
             trace_rows.append((i, t, s, x, y, z, u, v, g))
     write_csv(os.path.join(out_dir, "path_trace.csv"),

@@ -3,8 +3,16 @@
 Travel time along an edge is obtained by fixed-step simulation of the
 vehicle holding the edge track through the current field while flying a
 sawtooth depth trajectory. The per-edge cost is the minimum travel time
-over a set of candidate dive profiles; each profile evaluation is an
-independent work unit suitable for parallel delegation.
+over a set of candidate dive profiles.
+
+Profiles are flown in families, grouped once per search
+(profile_families). Only the surface term of the field depends on depth,
+and it is exactly 0.0 at and below ocean.depth_independent_below. So
+profiles that start at the same climb depth sample the same field, bit
+for bit, until their depths part with one of them above that depth. A
+family's trunk is flown once; every other member resumes from the trunk's
+state at its own fork step. Each family is one independent work unit
+suitable for parallel delegation.
 """
 
 import math
@@ -45,24 +53,43 @@ class IntegrationParams:
             raise ParameterError("eps_speed must be >= 0")
 
 
-# EdgeCostResult and EdgeTask are made per edge and per profile in the
-# search loop; as named tuples they cost a fraction of a frozen dataclass.
-# make_tasks and edge_cost build them with tuple.__new__, as ocean._sample
-# builds FlowSample, which skips the generated __new__'s Python frame.
+# EdgeCostResult and EdgeTask are made per edge in the search loop; as
+# named tuples they cost a fraction of a frozen dataclass. edge_cost builds
+# them with tuple.__new__, as ocean._sample builds FlowSample, which skips
+# the generated __new__'s Python frame.
 _new = tuple.__new__
 
 
 class EdgeCostResult(NamedTuple):
     """Minimum travel time over the profile set. Infeasible traversals are
-    represented as None, never as a sentinel number."""
+    represented as None, never as a sentinel number. per_profile_times
+    follows the families' profiles in order."""
 
     best_time: object
     best_profile_index: object
     per_profile_times: tuple
 
 
+@dataclass(frozen=True)
+class Family:
+    """Dive profiles flown as one trajectory until their depths part
+    (profile_families, solo_families). Immutable, so one family serves
+    every edge of a search and every pool worker.
+
+    profiles holds the members, trunk first. stops holds the distinct
+    steps, ascending, at which some member forks from the trunk, then -1,
+    which no step matches. flights holds, per member, (slot, z_climb,
+    z_dive, half, period): the position in stops of the member's fork step
+    (None for the trunk and for a member that never forks) and its
+    sawtooth constants for _depth."""
+
+    profiles: tuple
+    stops: tuple
+    flights: tuple
+
+
 class EdgeTask(NamedTuple):
-    """Self-contained per-profile edge-cost work unit (value message).
+    """Self-contained per-family edge-cost work unit (value message).
 
     t_limit is traverse_edge's absolute deadline, or None. It travels in
     the task so that every evaluator cuts the same traversals."""
@@ -70,22 +97,22 @@ class EdgeTask(NamedTuple):
     task_id: int
     edge: object
     t_start: float
-    profile: object
+    family: Family
     env: object
     veh: object
     integ: object
     t_limit: object = None
 
     def run(self):
-        return traverse_edge(
-            self.edge, self.t_start, self.profile, self.env, self.veh,
-            self.integ, t_limit=self.t_limit
-        )
+        # one unpack reads the fields faster than seven attribute reads
+        _id, edge, t_start, family, env, veh, integ, t_limit = self
+        return traverse_edge(edge, t_start, family, env, veh, integ, None,
+                             t_limit)
 
 
 def _sawtooth(profile, w_vert):
     """A profile's sawtooth constants (z_climb, z_dive, half, period) for
-    _depth, computed once per traversal."""
+    _depth."""
     half = (profile.z_dive_to - profile.z_climb_to) / w_vert
     return profile.z_climb_to, profile.z_dive_to, half, 2.0 * half
 
@@ -104,59 +131,165 @@ def sawtooth_depth(t_rel, profile, w_vert):
     return _depth(t_rel, *_sawtooth(profile, w_vert), w_vert)
 
 
-def traverse_edge(edge, t_start, profile, env, veh, integ, trace=None,
+def _family(members, forks, w_vert):
+    """A Family of members, trunk first, with each member's fork step
+    (None: never)."""
+    stops = sorted({f for f in forks if f is not None})
+    slots = [None if f is None else stops.index(f) for f in forks]
+    return Family(
+        tuple(members), tuple(stops) + (-1,),
+        tuple((i,) + _sawtooth(p, w_vert) for p, i in zip(members, slots)))
+
+
+def _fork_step(trunk, member, z_flat, w_vert, integ):
+    """The first step at which member's depth differs from trunk's with
+    one of them above z_flat, the first step at which their fields may
+    differ; None (never) for the same (climb, dive) pair.
+
+    Depths come from _depth at the kernel's own elapsed sequence
+    (elapsed += dt), so the step is exact. The scan is bounded: it stops
+    at the first step past the shorter sawtooth period, which it returns,
+    or after max_steps steps, which no traversal outlasts (None). Forking
+    a member earlier than needed only makes it fly more steps on its own,
+    which is still exact.
+    """
+    a = _sawtooth(trunk, w_vert)
+    b = _sawtooth(member, w_vert)
+    if a[:2] == b[:2]:
+        return None
+    bound = min(a[3], b[3])
+    dt = integ.dt
+    elapsed = 0.0
+    for k in range(integ.max_steps):
+        z_a = _depth(elapsed, *a, w_vert)
+        z_b = _depth(elapsed, *b, w_vert)
+        if z_a != z_b and (z_a < z_flat or z_b < z_flat) or elapsed > bound:
+            return k
+        elapsed += dt
+    return None
+
+
+def solo_families(profiles, veh):
+    """Every profile as a family of its own, in the given order: nothing
+    is shared."""
+    return [_family((p,), (None,), veh.w_vert) for p in profiles]
+
+
+def profile_families(profiles, env, veh, integ):
+    """The profiles grouped into families; made once per search.
+
+    Profiles climbing above z_flat = depth_independent_below(env)
+    (z_climb_to < z_flat) are grouped by climb depth. A group's trunk is
+    its first profile with the deepest dive, which stays below z_flat
+    longest, and every other member forks from it at _fork_step. All other
+    profiles never climb above z_flat, so they sample the same field at
+    every step and form one family that never forks, led by the first of
+    them. With no known z_flat every profile is a family of its own.
+    Families, and the members after each trunk, keep the given order.
+    """
+    w_vert = veh.w_vert
+    z_flat = depth_independent_below(env)
+    if z_flat is None:
+        return solo_families(profiles, veh)
+    groups = {}
+    for p in profiles:
+        climb = p.z_climb_to if p.z_climb_to < z_flat else None
+        groups.setdefault(climb, []).append(p)
+    out = []
+    for climb, members in groups.items():
+        if climb is None:
+            out.append(_family(members, [None] * len(members), w_vert))
+            continue
+        i = max(range(len(members)), key=lambda j: members[j].z_dive_to)
+        trunk = members[i]
+        rest = members[:i] + members[i + 1:]
+        out.append(_family(
+            [trunk] + rest,
+            [None] + [_fork_step(trunk, p, z_flat, w_vert, integ) for p in rest],
+            w_vert))
+    return out
+
+
+def traverse_edge(edge, t_start, family, env, veh, integ, trace=None,
                   t_limit=None):
-    """Travel time along the edge for one dive profile, or None if the
-    traversal is infeasible (track cannot be held, ground speed collapses,
-    or the step budget is exhausted).
+    """Travel time along the edge for each of the family's profiles, in
+    family order, or None if no profile arrives. A profile's time is None
+    if its traversal is infeasible (track cannot be held, ground speed
+    collapses, or the step budget is exhausted).
 
     The vehicle crabs to null cross-track drift, so the along-track ground
     speed is c_par + sqrt(v_bf^2 - c_perp^2). The final step is shortened
-    exactly to terminate at the edge length. When trace is a list, a
-    (t, s, x, y, z, u, v, g) row is appended per step.
+    exactly to terminate at the edge length.
 
-    t_limit is an absolute deadline: the traversal returns None as soon as
-    a step starts at t_start + elapsed >= t_limit. The returned time is at
-    least every earlier step's elapsed, so a traversal with
+    The trunk is flown first and saves its (s, elapsed) at the start of
+    each member's fork step. A member resumes from that state with its own
+    depth, or takes the trunk's time if the trunk ended before the fork
+    step: up to it, both flew the same field. Every time is the one the
+    profile gives when flown alone. When trace is a list, a
+    (t, s, x, y, z, u, v, g) row is appended per step flown: the trunk's,
+    then each resumed member's.
+
+    t_limit is an absolute deadline: a traversal stops with None as soon
+    as a step starts at t_start + elapsed >= t_limit. The returned time is
+    at least every earlier step's elapsed, so a traversal with
     t_start + time < t_limit is never cut and returns the same time as
     without a deadline.
     """
     v_bf = veh.v_bf
     v_bf2 = v_bf * v_bf
     w_vert = veh.w_vert
-    z_climb, z_dive, half, period = _sawtooth(profile, w_vert)
     dt = integ.dt
     eps = integ.eps_speed
-    length = edge.length
-    dx, dy = edge.dx, edge.dy
-    x0, y0 = edge.x0, edge.y0
+    max_steps = integ.max_steps
+    _frm, _to, x0, y0, _x1, _y1, length, dx, dy = edge  # a grid.Edge
     sqrt = math.sqrt
     limit = math.inf if t_limit is None else t_limit
+    stops = family.stops
+    stop = stops[0]
+    saved = ()
+    times = ()
+    arrived = False
+    first = 0
     s = 0.0
     elapsed = 0.0
-    for _ in range(integ.max_steps):
-        t = t_start + elapsed
-        if t >= limit:
-            return None
-        z = _depth(elapsed, z_climb, z_dive, half, period, w_vert)
-        x = x0 + s * dx
-        y = y0 + s * dy
-        u, v = velocity(x, y, z, t, env)
-        c_par = u * dx + v * dy
-        c_perp = -u * dy + v * dx
-        if abs(c_perp) >= v_bf:
-            return None
-        g = c_par + sqrt(v_bf2 - c_perp * c_perp)
-        if g <= eps:
-            return None
-        if trace is not None:
-            trace.append((t, s, x, y, z, u, v, g))
-        remaining = length - s
-        if g * dt >= remaining:
-            return elapsed + remaining / g
-        s += g * dt
-        elapsed += dt
-    return None
+    for slot, z_climb, z_dive, half, period in family.flights:
+        if times:
+            if slot is None or slot >= len(saved):
+                times += times[:1]
+                continue
+            s, elapsed = saved[slot]
+            first = stops[slot]
+            stop = -1
+        time = None
+        for k in range(first, max_steps):
+            if k == stop:
+                saved += ((s, elapsed),)
+                stop = stops[len(saved)]
+            t = t_start + elapsed
+            if t >= limit:
+                break
+            z = _depth(elapsed, z_climb, z_dive, half, period, w_vert)
+            x = x0 + s * dx
+            y = y0 + s * dy
+            u, v = velocity(x, y, z, t, env)
+            c_par = u * dx + v * dy
+            c_perp = -u * dy + v * dx
+            if abs(c_perp) >= v_bf:
+                break
+            g = c_par + sqrt(v_bf2 - c_perp * c_perp)
+            if g <= eps:
+                break
+            if trace is not None:
+                trace.append((t, s, x, y, z, u, v, g))
+            remaining = length - s
+            if g * dt >= remaining:
+                time = elapsed + remaining / g
+                arrived = True
+                break
+            s += g * dt
+            elapsed += dt
+        times += (time,)
+    return times if arrived else None
 
 
 def serial_evaluator(tasks):
@@ -164,45 +297,17 @@ def serial_evaluator(tasks):
     return [task.run() for task in tasks]
 
 
-def make_tasks(edge, t_start, profiles, env, veh, integ, t_limit=None):
-    return [
-        _new(EdgeTask, (p.index, edge, t_start, p, env, veh, integ, t_limit))
-        for p in profiles
-    ]
-
-
-def distinct_profiles(profiles, env):
-    """The profiles whose travel times can differ, in the given order.
-
-    Every profile that never climbs above the depth from which env's
-    field is depth-independent (ocean.depth_independent_below) flies the
-    same field and gives bit-identical times on every edge, so the first
-    of them stands for all. The kept profile of each class has the lowest
-    index in it, so a search over the result breaks ties as one over all
-    profiles.
-    """
-    z_flat = depth_independent_below(env)
-    if z_flat is None:
-        return list(profiles)
-    out = []
-    shielded = False
-    for p in profiles:
-        if p.z_climb_to < z_flat:
-            out.append(p)
-        elif not shielded:
-            out.append(p)
-            shielded = True
-    return out
-
-
-def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None,
+def edge_cost(edge, t_start, families, env, veh, integ, evaluator=None,
               t_limit=None):
-    """Minimum travel time over all profiles, lowest index on ties.
+    """Minimum travel time over the families' profiles, lowest profile
+    index on ties.
 
-    best_profile_index is the winning profile's own index, which is its
-    list position when profiles is a full generated set. The evaluator
-    maps a task list to a time list ordered by task id; the result is
-    identical regardless of the evaluation strategy.
+    families come from profile_families (once per search) or
+    solo_families. best_profile_index is the winning profile's own index.
+    The evaluator maps a task list, one task per family, to a list of
+    traverse_edge results ordered by task id; the result is identical
+    regardless of the evaluation strategy, and regardless of how the
+    profiles are grouped into families.
 
     t_limit is an absolute deadline handed to every traversal
     (traverse_edge): a profile that cannot arrive before it may report
@@ -210,16 +315,33 @@ def edge_cost(edge, t_start, profiles, env, veh, integ, evaluator=None,
     before t_limit (t_start + best_time < t_limit); otherwise best_time
     is None or does not arrive before t_limit either.
     """
-    if not profiles:
+    if not families:
         raise ParameterError("profile set must be non-empty")
     if evaluator is None:
         evaluator = serial_evaluator
-    times = evaluator(
-        make_tasks(edge, t_start, profiles, env, veh, integ, t_limit))
+    tasks = []
+    for family in families:
+        tasks.append(_new(EdgeTask, (len(tasks), edge, t_start, family, env,
+                                     veh, integ, t_limit)))
+    results = evaluator(tasks)
     best = None
     best_i = None
-    for p, t in zip(profiles, times):
-        if t is not None and (best is None or t < best):
-            best = t
-            best_i = p.index
-    return _new(EdgeCostResult, (best, best_i, tuple(times)))
+    times = ()
+    # Counters, not zip: on a graph whose edges fly one step, building
+    # a zip per edge costs more than the loop itself.
+    i = 0
+    for family_times in results:
+        profiles = families[i].profiles
+        i += 1
+        if family_times is None:
+            times += (None,) * len(profiles)
+            continue
+        times += family_times
+        j = 0
+        for t in family_times:
+            if t is not None and (best is None or t < best or t == best
+                                  and profiles[j].index < best_i):
+                best = t
+                best_i = profiles[j].index
+            j += 1
+    return _new(EdgeCostResult, (best, best_i, times))

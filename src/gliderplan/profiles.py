@@ -39,6 +39,10 @@ class DiveProfile:
     z_dive_to: float
     index: int
 
+    def __post_init__(self):
+        if not 0 <= self.z_climb_to < self.z_dive_to:
+            raise ParameterError("require 0 <= z_climb_to < z_dive_to")
+
 
 def _levels(lo, hi, n):
     """n equally spaced values from lo to hi inclusive, endpoints exact."""

@@ -10,12 +10,17 @@ settled head m can never arrive before arrival[m]; such edges are not
 flown at all. An edge into an unsettled head is flown with the head's
 tentative arrival as its deadline (cost.edge_cost's t_limit), since a
 later arrival cannot improve the label.
+
+The profiles are grouped into families once per search
+(cost.profile_families), and each costed edge flies one trajectory per
+family: profiles that share a climb depth share their steps until their
+depths part.
 """
 
 import heapq
 from dataclasses import dataclass
 
-from .cost import distinct_profiles, edge_cost
+from .cost import edge_cost, profile_families, solo_families
 from .errors import NoPathError, ParameterError
 
 
@@ -60,13 +65,15 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
 
     Ties in the queue break on (arrival time, node id); an equal-arrival
     relaxation never replaces an existing predecessor. Each edge into an
-    unsettled node is flown once per distinct profile
-    (cost.distinct_profiles), up to that node's tentative arrival.
+    unsettled node is flown once per profile family
+    (cost.profile_families, grouped once here), up to that node's
+    tentative arrival. Ties between profiles break on the lowest profile
+    index, so the result is the same as when every profile is flown alone.
     """
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
-    profiles = distinct_profiles(profiles, env)
+    families = profile_families(profiles, env, veh, integ)
     arrival = {start: t0}
     pred = {}
     settled = set()
@@ -83,14 +90,14 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             if m in settled:
                 continue
             tentative = arrival.get(m)
-            result = edge_cost(edge, t, profiles, env, veh, integ, evaluator,
-                               t_limit=tentative)
-            if result.best_time is None:
+            best_time, best_i, _times = edge_cost(
+                edge, t, families, env, veh, integ, evaluator, tentative)
+            if best_time is None:
                 continue
-            arr = t + result.best_time
+            arr = t + best_time
             if tentative is None or arr < tentative:
                 arrival[m] = arr
-                pred[m] = (edge, t, result.best_time, result.best_profile_index)
+                pred[m] = (edge, t, best_time, best_i)
                 heapq.heappush(heap, (arr, m))
     raise NoPathError("goal terminal unreachable from start at t0=%g" % t0)
 
@@ -98,8 +105,9 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
 def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=12):
     """Exhaustive enumeration of simple start-goal paths up to max_hops,
     accumulating time-dependent edge costs in path order. Test oracle for
-    plan(); only suitable for small graphs. Every profile is flown, so the
-    oracle does not share plan()'s cost.distinct_profiles collapse.
+    plan(); only suitable for small graphs. Every profile is flown as a
+    family of its own (cost.solo_families), so the oracle shares none of
+    plan()'s fork steps.
 
     Partial paths already no better than the best complete path are cut,
     which cannot change the returned minimum (travel times are positive).
@@ -107,6 +115,7 @@ def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
+    families = solo_families(profiles, veh)
     best = {"arrival": None, "legs": None}
 
     def visit(node, t, hops, on_path, legs):
@@ -122,7 +131,7 @@ def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=
             m = edge.to
             if m in on_path:
                 continue
-            result = edge_cost(edge, t, profiles, env, veh, integ, evaluator)
+            result = edge_cost(edge, t, families, env, veh, integ, evaluator)
             if result.best_time is None:
                 continue
             on_path.add(m)

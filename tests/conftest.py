@@ -41,6 +41,13 @@ def straight_edge(x0, y0, x1, y1, frm=0, to=1):
                    (x1 - x0) / length, (y1 - y0) / length)
 
 
+def fly(edge, t_start, profile, env, veh, integ, **kwargs):
+    """traverse_edge for one profile flown alone: its time, or None."""
+    family, = gp.solo_families([profile], veh)
+    times = gp.traverse_edge(edge, t_start, family, env, veh, integ, **kwargs)
+    return None if times is None else times[0]
+
+
 def adverse_surface_time(env):
     """A time at which the surface term is maximally adverse:
     cos(d * omega * t) = -1."""

@@ -162,9 +162,10 @@ def test_criterion_7_depth_avoidance():
     y = jet_core_y(0.0, t_adv, env.jet)
     length = 0.4
     edge = gp.Edge(0, 1, 0.0, y, length, y, length, 1.0, 0.0)
-    res = gp.edge_cost(edge, t_adv, profiles, env, veh, integ)
+    families = gp.solo_families(profiles, veh)
+    res = gp.edge_cost(edge, t_adv, families, env, veh, integ)
     with_surface_ok = profiles[res.best_profile_index].z_climb_to > 0.0
-    res_jet = gp.edge_cost(edge, t_adv, profiles,
+    res_jet = gp.edge_cost(edge, t_adv, families,
                            gp.FlowEnvironment(mode="jet"), veh, integ)
     without_surface_ok = (res_jet.best_profile_index == 0
                           and len(set(res_jet.per_profile_times)) == 1)

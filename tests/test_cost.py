@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
 import gliderplan.cost
-from conftest import adverse_surface_time, jet_core_y, straight_edge
+from conftest import adverse_surface_time, fly, jet_core_y, straight_edge
 
 
 def independent_travel_time(edge, t_start, profile, env, veh, dt):
@@ -59,33 +59,33 @@ class TestSawtoothDepth:
 class TestTraverseEdge:
     def test_still_water(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
-        t = gp.traverse_edge(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
+        t = fly(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
                              gp.FlowEnvironment.still(), veh, integ)
         assert t == pytest.approx(2.0, abs=integ.dt)
 
     def test_along_track_tailwind(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         env = gp.FlowEnvironment.uniform(0.1, 0.0)
-        t = gp.traverse_edge(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
+        t = fly(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
                              env, veh, integ)
         assert t == pytest.approx(1.0 / 0.6, abs=integ.dt)
 
     def test_cross_track_exceeds_vehicle_speed(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         env = gp.FlowEnvironment.uniform(0.0, 0.6)
-        assert gp.traverse_edge(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
+        assert fly(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
                                 env, veh, integ) is None
 
     def test_opposing_current_stalls(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         env = gp.FlowEnvironment.uniform(-0.5, 0.0)
-        assert gp.traverse_edge(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
+        assert fly(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
                                 env, veh, integ) is None
 
     def test_lower_bound(self, veh, integ, default_env):
         # eastbound edge on the jet centerline at t = 0
         edge = straight_edge(0.0, 1.2, 0.4, 1.2)
-        t = gp.traverse_edge(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
+        t = fly(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
                              default_env, veh, integ)
         c_max = 1.0 + 0.5  # jet peak plus surface amplitude
         assert t is not None
@@ -94,7 +94,7 @@ class TestTraverseEdge:
     def test_monotone_in_adverse_uniform_current(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         prof = gp.DiveProfile(0.0, 200.0, 0)
-        times = [gp.traverse_edge(edge, 0.0, prof,
+        times = [fly(edge, 0.0, prof,
                                   gp.FlowEnvironment.uniform(-c, 0.0),
                                   veh, integ)
                  for c in (0.0, 0.1, 0.2, 0.3, 0.4)]
@@ -104,22 +104,22 @@ class TestTraverseEdge:
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         env = gp.FlowEnvironment.still()
         prof = gp.DiveProfile(0.0, 200.0, 0)
-        t1 = gp.traverse_edge(edge, 0.0, prof, env, veh,
+        t1 = fly(edge, 0.0, prof, env, veh,
                               gp.IntegrationParams(dt=0.01))
-        t2 = gp.traverse_edge(edge, 0.0, prof, env, veh,
+        t2 = fly(edge, 0.0, prof, env, veh,
                               gp.IntegrationParams(dt=0.005))
         assert abs(t1 - t2) <= 0.01
 
     def test_max_steps_exhaustion(self, veh):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         integ = gp.IntegrationParams(dt=0.01, max_steps=10)
-        assert gp.traverse_edge(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
+        assert fly(edge, 0.0, gp.DiveProfile(0.0, 200.0, 0),
                                 gp.FlowEnvironment.still(), veh, integ) is None
 
     def test_trace_rows(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 0.5, 0.0)
         trace = []
-        t = gp.traverse_edge(edge, 1.0, gp.DiveProfile(0.0, 100.0, 0),
+        t = fly(edge, 1.0, gp.DiveProfile(0.0, 100.0, 0),
                              gp.FlowEnvironment(), veh, integ, trace=trace)
         assert t is not None
         assert trace[0][0] == 1.0  # first sample at departure time
@@ -140,7 +140,7 @@ class TestTraverseEdge:
 
         monkeypatch.setattr(gliderplan.cost, "velocity", counted)
         trace = []
-        time = gp.traverse_edge(straight_edge(0.0, 1.2, 0.4, 1.2), 0.0,
+        time = fly(straight_edge(0.0, 1.2, 0.4, 1.2), 0.0,
                                 gp.DiveProfile(0.0, 200.0, 0), env, veh,
                                 integ, trace=trace)
         assert time is not None
@@ -158,8 +158,8 @@ class TestTraverseEdge:
         edge = straight_edge(0.0, y, 0.4, y)
         shallow = gp.DiveProfile(0.0, 200.0, 0)
         deep = gp.DiveProfile(80.0 / 3.0, 200.0, 11)
-        t_shallow = gp.traverse_edge(edge, t_adv, shallow, default_env, veh, integ)
-        t_deep = gp.traverse_edge(edge, t_adv, deep, default_env, veh, integ)
+        t_shallow = fly(edge, t_adv, shallow, default_env, veh, integ)
+        t_deep = fly(edge, t_adv, deep, default_env, veh, integ)
         assert t_deep < t_shallow
         # cross-check both with the independent integrator at dt/10
         i_shallow = independent_travel_time(edge, t_adv, shallow, default_env,
@@ -174,7 +174,9 @@ class TestTraverseEdge:
 class TestEdgeCost:
     def test_single_profile(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
-        res = gp.edge_cost(edge, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
+        res = gp.edge_cost(edge, 0.0,
+                           gp.solo_families([gp.DiveProfile(0.0, 200.0, 0)],
+                                            veh),
                            gp.FlowEnvironment.still(), veh, integ)
         assert res.best_profile_index == 0
         assert res.best_time == res.per_profile_times[0]
@@ -183,8 +185,8 @@ class TestEdgeCost:
                                           veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         profiles = gp.generate_dive_profiles(paper_profile_params)
-        res = gp.edge_cost(edge, 0.0, profiles, gp.FlowEnvironment.still(),
-                           veh, integ)
+        res = gp.edge_cost(edge, 0.0, gp.solo_families(profiles, veh),
+                           gp.FlowEnvironment.still(), veh, integ)
         assert len(set(res.per_profile_times)) == 1
         assert res.best_profile_index == 0
 
@@ -194,14 +196,16 @@ class TestEdgeCost:
         y = jet_core_y(0.0, t_adv, default_env.jet)
         edge = straight_edge(0.0, y, 0.4, y)
         profiles = gp.generate_dive_profiles(paper_profile_params)
-        res = gp.edge_cost(edge, t_adv, profiles, default_env, veh, integ)
+        res = gp.edge_cost(edge, t_adv, gp.solo_families(profiles, veh),
+                           default_env, veh, integ)
         assert profiles[res.best_profile_index].z_climb_to > 0.0
 
     def test_all_infeasible_propagates(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         env = gp.FlowEnvironment.uniform(0.0, 0.9)
-        res = gp.edge_cost(edge, 0.0, [gp.DiveProfile(0.0, 200.0, 0),
-                                       gp.DiveProfile(10.0, 200.0, 1)],
+        profiles = [gp.DiveProfile(0.0, 200.0, 0),
+                    gp.DiveProfile(10.0, 200.0, 1)]
+        res = gp.edge_cost(edge, 0.0, gp.solo_families(profiles, veh),
                            env, veh, integ)
         assert res.best_time is None
         assert res.best_profile_index is None
@@ -220,8 +224,8 @@ class TestEdgeCost:
         prof = gp.DiveProfile(20.0, 150.0, 0)  # 20 m > z_decay = 15 m
         edge = straight_edge(0.3, 0.9, 0.7, 1.1)
         for t0 in (0.0, 2.0, 3.9):
-            a = gp.traverse_edge(edge, t0, prof, full, veh, integ)
-            b = gp.traverse_edge(edge, t0, prof, jet_only, veh, integ)
+            a = fly(edge, t0, prof, full, veh, integ)
+            b = fly(edge, t0, prof, jet_only, veh, integ)
             assert a == b  # bit-exact
 
     def test_serial_and_pool_evaluators_identical(self, paper_profile_params,
@@ -229,14 +233,47 @@ class TestEdgeCost:
         integ = gp.IntegrationParams(dt=0.02)
         profiles = gp.generate_dive_profiles(paper_profile_params)
         edge = straight_edge(0.0, 0.5, 0.4, 0.7)
-        serial = gp.edge_cost(edge, 1.0, profiles, default_env, veh, integ)
-        with gp.WorkerPool(gp.EngineConfig(5)) as pool:
-            parallel = gp.edge_cost(edge, 1.0, profiles, default_env, veh,
-                                    integ, gp.pool_evaluator(pool))
-        assert serial == parallel  # bit-exact, including per-profile times
+        for families in (gp.solo_families(profiles, veh),
+                         gp.profile_families(profiles, default_env, veh,
+                                             integ)):
+            serial = gp.edge_cost(edge, 1.0, families, default_env, veh,
+                                  integ)
+            with gp.WorkerPool(gp.EngineConfig(5)) as pool:
+                parallel = gp.edge_cost(edge, 1.0, families, default_env,
+                                        veh, integ, gp.pool_evaluator(pool))
+            assert serial == parallel  # bit-exact, incl. per-profile times
+
+    def test_pool_pairs_times_with_profiles_out_of_index_order(self, veh,
+                                                               integ):
+        # the pool returns results in task id order, so task ids must
+        # follow the list order, not the profile indices
+        edge = straight_edge(0.0, 2.0, 0.4, 2.0)
+        env = gp.FlowEnvironment()
+        profiles = [gp.DiveProfile(0.0, 200.0, 5),
+                    gp.DiveProfile(40.0, 200.0, 2)]
+        for families in (gp.solo_families(profiles, veh),
+                         gp.profile_families(profiles, env, veh, integ)):
+            serial = gp.edge_cost(edge, 0.3, families, env, veh, integ)
+            with gp.WorkerPool(gp.EngineConfig(2)) as pool:
+                parallel = gp.edge_cost(edge, 0.3, families, env, veh,
+                                        integ, gp.pool_evaluator(pool))
+            assert serial == parallel
+            assert serial.best_profile_index == 5
+
+
+def times_by_index(families, result):
+    """{profile index: time} of an EdgeCostResult over families."""
+    profiles = [p for f in families for p in f.profiles]
+    assert len(profiles) == len(result.per_profile_times)
+    return {p.index: repr(t)
+            for p, t in zip(profiles, result.per_profile_times)}
 
 
 class TestDistinctProfiles:
+    """Profiles grouped into families (profile_families) give the times,
+    the best time and the best index they give when each is flown alone
+    (solo_families)."""
+
     @staticmethod
     def with_boundary_profile(params, z_decay):
         """The generated profiles plus one climbing exactly to z_decay,
@@ -252,9 +289,18 @@ class TestDistinctProfiles:
         integ = gp.IntegrationParams(dt=0.02)
         profiles = self.with_boundary_profile(paper_profile_params,
                                               env.surface.z_decay)
-        kept = gp.distinct_profiles(profiles, env)
-        if mode != "jet":
-            assert kept[-1].z_climb_to == env.surface.z_decay
+        families = gp.profile_families(profiles, env, veh, integ)
+        solo = gp.solo_families(profiles, veh)
+        # the boundary profile flies with the profiles that never climb
+        # above z_decay; in jet mode every profile does
+        shielded = families[-1]
+        assert all(f is shielded or f.stops[:-1] for f in families)
+        assert shielded.stops == (-1,)
+        boundary = next(p for p in profiles
+                        if p.z_climb_to == env.surface.z_decay)
+        assert boundary in shielded.profiles
+        if mode == "jet":
+            assert len(families) == 1
         rng = random.Random(7)
         for _ in range(12):
             x0, y0 = rng.uniform(0.0, 7.6), rng.uniform(-1.5, 1.5)
@@ -262,31 +308,123 @@ class TestDistinctProfiles:
             edge = straight_edge(x0, y0, x0 + 0.4 * math.cos(heading),
                                  y0 + 0.4 * math.sin(heading))
             t = rng.uniform(0.0, 8.0)
-            every = gp.edge_cost(edge, t, profiles, env, veh, integ)
-            distinct = gp.edge_cost(edge, t, kept, env, veh, integ)
-            assert repr(distinct.best_time) == repr(every.best_time)
-            assert distinct.best_profile_index == every.best_profile_index
-            # each dropped profile flies exactly as the last kept one
-            shielded = every.per_profile_times[kept[-1].index]
-            for p, time in zip(profiles, every.per_profile_times):
-                if p not in kept:
-                    assert repr(time) == repr(shielded)
+            every = gp.edge_cost(edge, t, solo, env, veh, integ)
+            grouped = gp.edge_cost(edge, t, families, env, veh, integ)
+            assert repr(grouped.best_time) == repr(every.best_time)
+            assert grouped.best_profile_index == every.best_profile_index
+            assert (times_by_index(families, grouped)
+                    == times_by_index(solo, every))
 
     def test_counts(self, paper_profile_params):
         profiles = gp.generate_dive_profiles(paper_profile_params)
-        kept = gp.distinct_profiles(profiles, gp.FlowEnvironment())
-        assert len(kept) == 12
-        assert [p.index for p in kept] == list(range(12))
+        veh, integ = gp.VehicleParams(), gp.IntegrationParams()
+        # 6 profiles climb to 0 m and 5 to 40/3 m, above z_decay = 15 m;
+        # the 9 others never climb above it
+        for mode in ("full", "surface"):
+            families = gp.profile_families(
+                profiles, gp.FlowEnvironment(mode=mode), veh, integ)
+            assert [[p.index for p in f.profiles] for f in families] == [
+                list(range(6)), list(range(6, 11)), list(range(11, 20))]
+            # each trunk dives to 200 m; the shallower a member's dive,
+            # the sooner it climbs back above z_decay and forks
+            assert [len(f.stops) - 1 for f in families] == [5, 4, 0]
+            for f in families[:2]:
+                assert list(f.stops[:-1]) == sorted(f.stops[:-1])
+                slots = [flight[0] for flight in f.flights]
+                assert slots == [None] + list(range(len(slots) - 2, -1, -1))
         for env in (gp.FlowEnvironment(mode="jet"),
                     gp.FlowEnvironment.uniform(0.1, -0.2),
                     gp.FlowEnvironment.still()):
-            assert gp.distinct_profiles(profiles, env) == profiles[:1]
+            families = gp.profile_families(profiles, env, veh, integ)
+            assert len(families) == 1
+            assert list(families[0].profiles) == profiles
+            assert families[0].stops == (-1,)
+        solo = gp.solo_families(profiles, veh)
+        assert [f.profiles for f in solo] == [(p,) for p in profiles]
 
     def test_best_index_is_the_profiles_own(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
-        res = gp.edge_cost(edge, 0.0, [gp.DiveProfile(20.0, 200.0, 11)],
-                           gp.FlowEnvironment.still(), veh, integ)
+        env = gp.FlowEnvironment.still()
+        res = gp.edge_cost(edge, 0.0,
+                           gp.solo_families([gp.DiveProfile(20.0, 200.0, 11)],
+                                            veh), env, veh, integ)
         assert res.best_profile_index == 11
+        # every profile ties in still water: the lowest index wins, in
+        # whatever order the profiles and families come
+        profiles = [gp.DiveProfile(20.0, 200.0, 11),
+                    gp.DiveProfile(0.0, 60.0, 5), gp.DiveProfile(0.0, 200.0, 7)]
+        for families in (gp.solo_families(profiles, veh),
+                         gp.profile_families(profiles, gp.FlowEnvironment(),
+                                             veh, integ),
+                         gp.profile_families(profiles, env, veh, integ)):
+            res = gp.edge_cost(edge, 0.0, families, env, veh, integ)
+            assert res.best_profile_index == 5
+
+
+class TestFamilies:
+    """Flying a family gives every member the time, bit for bit, that it
+    gives when flown alone, in every flow mode and with or without a
+    deadline."""
+
+    Z_DECAY = gp.SurfaceCurrentParams().z_decay
+    ENVS = {
+        "full": gp.FlowEnvironment(),
+        "jet": gp.FlowEnvironment(mode="jet"),
+        "surface": gp.FlowEnvironment(mode="surface"),
+        "uniform": gp.FlowEnvironment.uniform(0.12, -0.07),
+        "still": gp.FlowEnvironment.still(),
+    }
+    # climb depths: above z_decay, exactly at it, and below it
+    CLIMBS = (0.0, 5.0, 40.0 / 3.0, Z_DECAY, 80.0 / 3.0)
+    # always in the set: a climb exactly at z_decay, dives shallower than
+    # z_decay (both stay above it, so only their depths tell them apart),
+    # and a duplicated (climb, dive) pair
+    REQUIRED = ((Z_DECAY, 170.0), (0.0, 10.0), (0.0, 12.5), (5.0, 60.0),
+                (0.0, 200.0), (0.0, 200.0))
+
+    @settings(max_examples=120, deadline=None)
+    @given(mode=st.sampled_from(sorted(ENVS)),
+           x0=st.floats(0.0, 7.6), y0=st.floats(-2.5, 2.5),
+           heading=st.floats(0.0, 2.0 * math.pi),
+           length=st.floats(0.05, 1.0), t_start=st.floats(0.0, 8.0),
+           dt=st.floats(0.003, 0.08),
+           limit=st.one_of(st.none(), st.floats(0.0, 3.0)),
+           extra=st.lists(st.tuples(st.sampled_from(CLIMBS),
+                                    st.floats(1.0, 190.0)), max_size=6),
+           order=st.randoms(use_true_random=False))
+    def test_family_equals_members_alone(self, mode, x0, y0, heading, length,
+                                         t_start, dt, limit, extra, order):
+        pairs = list(self.REQUIRED) + [(zc, zc + d) for zc, d in extra]
+        indices = list(range(len(pairs)))
+        order.shuffle(indices)  # profiles not in index order
+        profiles = [gp.DiveProfile(zc, zd, i)
+                    for (zc, zd), i in zip(pairs, indices)]
+        env = self.ENVS[mode]
+        veh = gp.VehicleParams()
+        integ = gp.IntegrationParams(dt=dt)
+        edge = straight_edge(x0, y0, x0 + length * math.cos(heading),
+                             y0 + length * math.sin(heading))
+        t_limit = None if limit is None else t_start + limit
+        families = gp.profile_families(profiles, env, veh, integ)
+        assert sorted(p.index for f in families for p in f.profiles) == sorted(
+            indices)
+        for family in families:
+            times = gp.traverse_edge(edge, t_start, family, env, veh, integ,
+                                     t_limit=t_limit)
+            alone = [fly(edge, t_start, p, env, veh, integ, t_limit=t_limit)
+                     for p in family.profiles]
+            if times is None:
+                assert alone == [None] * len(alone)
+            else:
+                assert [repr(t) for t in times] == [repr(t) for t in alone]
+        grouped = gp.edge_cost(edge, t_start, families, env, veh, integ,
+                               t_limit=t_limit)
+        solo = gp.solo_families(profiles, veh)
+        every = gp.edge_cost(edge, t_start, solo, env, veh, integ,
+                             t_limit=t_limit)
+        assert repr(grouped.best_time) == repr(every.best_time)
+        assert grouped.best_profile_index == every.best_profile_index
+        assert times_by_index(families, grouped) == times_by_index(solo, every)
 
 
 class TestDeadline:
@@ -326,10 +464,10 @@ class TestDeadline:
         args = (self.edge(x0, y0, heading, length), t_start,
                 self.PROFILES[k], gp.FlowEnvironment(mode=mode), self.VEH,
                 self.INTEG)
-        free = gp.traverse_edge(*args)
-        assert repr(gp.traverse_edge(*args, t_limit=None)) == repr(free)
+        free = fly(*args)
+        assert repr(fly(*args, t_limit=None)) == repr(free)
         for limit in self.limits(t_start, free, frac):
-            bounded = gp.traverse_edge(*args, t_limit=limit)
+            bounded = fly(*args, t_limit=limit)
             if free is not None and t_start + free < limit:
                 assert repr(bounded) == repr(free)  # bit-exact
             else:
@@ -340,8 +478,11 @@ class TestDeadline:
     @settings(max_examples=50, deadline=None)
     @given(**CASES)
     def test_edge_cost(self, x0, y0, heading, length, t_start, frac, mode):
-        args = (self.edge(x0, y0, heading, length), t_start, self.PROFILES,
-                gp.FlowEnvironment(mode=mode), self.VEH, self.INTEG)
+        env = gp.FlowEnvironment(mode=mode)
+        families = gp.profile_families(self.PROFILES, env, self.VEH,
+                                       self.INTEG)
+        args = (self.edge(x0, y0, heading, length), t_start, families, env,
+                self.VEH, self.INTEG)
         free = gp.edge_cost(*args)
         assert gp.edge_cost(*args, t_limit=None) == free
         for limit in self.limits(t_start, free.best_time, frac):

@@ -1,5 +1,5 @@
 """Golden outputs: the files `gliderplan plan` writes for the example
-mission, pinned by SHA-256.
+mission and for the lattice-uniform benchmark mission, pinned by SHA-256.
 
 A change that claims byte-identical output must keep these digests. A
 change that moves results on purpose updates them and says by how much
@@ -16,7 +16,7 @@ import pytest
 
 from gliderplan.cli import run_plan, write_plan_outputs
 from gliderplan.mission import parse_mission
-from conftest import EXAMPLE_MISSION
+from conftest import EXAMPLE_MISSION, REPO_ROOT
 
 FILES = ("path.xml", "path.csv", "path_trace.csv", "graph_stats.csv")
 
@@ -43,8 +43,18 @@ GOLDEN = {
 }
 
 
-def digests(tmp_path, t0, parallel):
-    cfg = dataclasses.replace(parse_mission(str(EXAMPLE_MISSION)), t0=t0)
+# One dive profile in a uniform current on a 4,133-node lattice: every
+# profile family has one member, so this pins the path that shares nothing.
+LATTICE_MISSION = REPO_ROOT / "perfbench" / "missions" / "lattice-uniform.xml"
+LATTICE_GOLDEN = (
+    "b578e16407d9d5c880a56b2d8cc4a7b1fdffa7270649868812a5d7079b89eed2",
+    "aa5f802ee94d3e2761c291733cabc9a4a3e765cf637319e513bc196769e111c7",
+    "450e5a3e9a479610d2ba5578e975354e525256047cf2f30235a74aeddb4054d0",
+    "a139e58894fc1965f895d662e252444bea2e2e58ea3e3fadf1783e1310648ba5")
+
+
+def digests(tmp_path, t0, parallel, mission=EXAMPLE_MISSION):
+    cfg = dataclasses.replace(parse_mission(str(mission)), t0=t0)
     result, graph, _search_s, _total_s = run_plan(cfg, parallel, 2)
     write_plan_outputs(cfg, result, graph, str(tmp_path))
     return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -58,3 +68,8 @@ def test_serial_outputs(tmp_path, t0):
 
 def test_pool_outputs(tmp_path):
     assert digests(tmp_path, 0.0, parallel=True) == GOLDEN[0.0]
+
+
+def test_lattice_uniform_outputs(tmp_path):
+    assert digests(tmp_path, 0.0, parallel=False,
+                   mission=LATTICE_MISSION) == LATTICE_GOLDEN

@@ -60,7 +60,8 @@ def test_tracer_sees_a_serial_plan():
 
 
 def test_tracer_sees_the_distinct_profiles_of_a_full_plan():
-    # 11 default profiles climb above z_decay; the 9 others share one.
+    # The default profiles fly as 3 families, one traversal each: 6 climb
+    # to 0 m and 5 to 40/3 m, above z_decay; the 9 others never do.
     # The grid lies north of the jet core, where the track can be held.
     calls = traced_calls(gp.FlowEnvironment(), y0=2.0)
-    assert calls["traverse_edge"] == calls["edge_cost"] * 12
+    assert calls["traverse_edge"] == calls["edge_cost"] * 3

@@ -121,3 +121,20 @@ class TestProperties:
         profs = gp.generate_dive_profiles(p)
         for prof in profs:
             assert prof.z_dive_to - prof.z_climb_to >= 100.0
+
+
+class TestDiveProfileValidation:
+    # a sawtooth needs 0 <= z_climb_to < z_dive_to: equal depths would
+    # make a zero period, and a dive shallower than the climb a negative
+    # one, which the integrator cannot fly
+    @pytest.mark.parametrize("zc, zd", [(10.0, 10.0), (50.0, 10.0),
+                                        (-1.0, 50.0), (0.0, 0.0),
+                                        (float("nan"), 50.0),
+                                        (0.0, float("nan"))])
+    def test_rejected(self, zc, zd):
+        with pytest.raises(gp.ParameterError):
+            gp.DiveProfile(zc, zd, 0)
+
+    def test_accepted(self):
+        p = gp.DiveProfile(0.0, 1e-9, 3)
+        assert (p.z_climb_to, p.z_dive_to, p.index) == (0.0, 1e-9, 3)

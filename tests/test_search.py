@@ -4,6 +4,7 @@ import random
 import pytest
 
 import gliderplan as gp
+import gliderplan.search
 from conftest import EXAMPLE_MISSION
 
 
@@ -51,11 +52,12 @@ def recording(evaluator, calls):
 
 def fifo_holds(g, t0, profiles, env, veh, integ, n_edges=12, n_times=4):
     """Sampled FIFO check: later departures never arrive earlier."""
+    families = gp.solo_families(profiles, veh)
     for edge in list(g.edges())[::7][:n_edges]:
         last = None
         for i in range(n_times):
             t = t0 + i * 0.8
-            res = gp.edge_cost(edge, t, profiles, env, veh, integ)
+            res = gp.edge_cost(edge, t, families, env, veh, integ)
             if res.best_time is None:
                 continue
             arrival = t + res.best_time
@@ -135,9 +137,10 @@ class TestPlanBasics:
     def test_resimulation_consistency(self):
         g, t0, profiles, env, veh, integ = make_instance(4)
         res = gp.plan(g, t0, profiles, env, veh, integ)
+        families = gp.solo_families(profiles, veh)
         for leg in res.legs:
             edge = next(e for e in g.adj[leg.frm] if e.to == leg.to)
-            again = gp.edge_cost(edge, leg.departure, profiles, env, veh, integ)
+            again = gp.edge_cost(edge, leg.departure, families, env, veh, integ)
             assert again.best_time == leg.travel_time  # bit-exact
             assert again.best_profile_index == leg.profile_index
 
@@ -183,6 +186,34 @@ class TestCostedEdges:
         assert cut  # the deadlines did cut traversals
 
 
+class TestFamilies:
+    """plan() flies profiles in families; the outputs are those of flying
+    every profile alone."""
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0, 2.0, 3.0])
+    def test_plan_equals_plan_with_one_member_families(self, monkeypatch,
+                                                       t0):
+        inst = example_instance(t0)
+        grouped = gp.plan(*inst)
+        monkeypatch.setattr(
+            gliderplan.search, "profile_families",
+            lambda profiles, env, veh, integ: gp.solo_families(profiles, veh))
+        alone = gp.plan(*inst)
+        assert grouped == alone
+        assert repr(grouped) == repr(alone)
+
+    def test_brute_force_flies_every_profile_alone(self):
+        g, t0, profiles, env, veh, integ = make_instance(3)
+        calls = []
+        gp.brute_force_plan(g, t0, profiles, env, veh, integ,
+                            recording(gp.serial_evaluator, calls), max_hops=4)
+        flown = [task.family.profiles for tasks, _times in calls
+                 for task in tasks]
+        assert calls
+        assert all(len(members) == 1 for members in flown)
+        assert len(flown) == len(calls) * len(profiles)
+
+
 class TestBruteForce:
     def test_single_edge_matches_plan(self, veh, integ):
         g = two_node_graph()
@@ -224,8 +255,8 @@ class TestOptimalityOracle:
             assert abs(a.arrival - b.arrival) <= 1e-9
 
     def test_collapsed_plan_matches_brute_force_over_every_profile(self):
-        # plan() flies one profile for those that never climb above
-        # z_decay; the oracle flies them all
+        # plan() flies the profiles in families; the oracle flies each
+        # profile alone
         checked = 0
         for seed in range(200, 215):
             g, t0, profiles, env, veh, integ = make_instance(seed)
@@ -233,7 +264,8 @@ class TestOptimalityOracle:
             profiles = profiles + [
                 gp.DiveProfile(zc, zd, n + i) for i, (zc, zd) in
                 enumerate([(15.0, 60.0), (30.0, 45.0), (20.0, 70.0)])]
-            assert len(gp.distinct_profiles(profiles, env)) < len(profiles)
+            assert (len(gp.profile_families(profiles, env, veh, integ))
+                    < len(profiles))
             if not fifo_holds(g, t0, profiles, env, veh, integ):
                 continue
             a = gp.plan(g, t0, profiles, env, veh, integ)
