@@ -6,7 +6,7 @@ from .cost import (EdgeCostResult, EdgeTask, Family, IntegrationParams,
                    VehicleParams, edge_cost, profile_families, sawtooth_depth,
                    serial_evaluator, solo_families, traverse_edge)
 from .engine import (EngineConfig, TaskResult, WorkerPool, noop_run,
-                     pool_evaluator, rounds_required, start_pool)
+                     pool_evaluator, rounds_required)
 from .errors import ConfigError, EngineError, NoPathError, ParameterError
 from .grid import (Edge, Graph, GridSpec, Node, build_grid, coprime_offsets,
                    insert_terminal)

@@ -16,7 +16,7 @@ from .errors import ConfigError, NoPathError, ParameterError
 from .grid import build_grid, graph_stats_rows, insert_terminal
 from .mission import parse_mission, write_csv, write_path_xml
 from .ocean import velocity
-from .profiles import generate_dive_profiles
+from .profiles import _levels, generate_dive_profiles
 from .search import plan
 
 EXIT_OK = 0
@@ -86,9 +86,9 @@ def write_plan_outputs(cfg, result, graph, out_dir):
     for i, leg in enumerate(result.legs):
         edge = _find_edge(graph, leg.frm, leg.to)
         trace = []
-        family, = solo_families([profiles[leg.profile_index]], cfg.vehicle)
-        traverse_edge(edge, leg.departure, family, cfg.env, cfg.vehicle,
-                      cfg.integration, trace=trace)
+        family, = solo_families([profiles[leg.profile_index]], cfg.env,
+                                cfg.vehicle, cfg.integration)
+        traverse_edge(edge, leg.departure, family, trace=trace)
         for t, s, x, y, z, u, v, g in trace:
             trace_rows.append((i, t, s, x, y, z, u, v, g))
     write_csv(os.path.join(out_dir, "path_trace.csv"),
@@ -100,11 +100,7 @@ def write_plan_outputs(cfg, result, graph, out_dir):
 
 def cmd_plan(args):
     cfg = parse_mission(args.mission)
-    parallel = cfg.run_mode == "parallel"
-    if args.parallel:
-        parallel = True
-    if args.serial:
-        parallel = False
+    parallel = args.parallel or cfg.run_mode == "parallel" and not args.serial
     result, graph, search_s, total_s = run_plan(cfg, parallel, args.workers_one)
     write_plan_outputs(cfg, result, graph, args.out)
     print("path: %d legs, arrival %.6f (search %.3f s, total %.3f s)"
@@ -169,10 +165,7 @@ def _linspace(spec_str):
         raise ConfigError("expected min:max:count, got %r" % spec_str)
     if n < 1:
         raise ConfigError("sample count must be >= 1 in %r" % spec_str)
-    if n == 1:
-        return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n - 1)] + [hi]
+    return _levels(lo, hi, n)
 
 
 def _float_list(text):
@@ -240,8 +233,24 @@ def parse_worker_list(text):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error, not argparse's exit code 2
+    (no path found); subparsers are made with this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError("%s: %s" % (self.prog, message))
+
+
+def count(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % n)
+    return n
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gliderplan",
         description="Time-varying-environment path planner for underwater gliders")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -249,21 +258,22 @@ def build_parser():
     p = sub.add_parser("plan", help="run the path search and write results")
     p.add_argument("--mission", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--serial", action="store_true")
-    p.add_argument("--parallel", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--serial", action="store_true")
+    mode.add_argument("--parallel", action="store_true")
     p.add_argument("--workers", dest="workers_one", type=int, default=None)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("bench", help="serial vs parallel planning benchmark")
     p.add_argument("--mission", required=True)
     p.add_argument("--workers", default="1-8")
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--repeat", type=count, default=3)
     p.add_argument("--out", default="bench.csv")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("noop", help="worker-pool startup/teardown overhead")
     p.add_argument("--workers", default="1-8")
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--repeat", type=count, default=3)
     p.add_argument("--out", default="noop.csv")
     p.set_defaults(func=cmd_noop)
 
@@ -285,9 +295,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except NoPathError as exc:
         print("no path: %s" % exc, file=sys.stderr)

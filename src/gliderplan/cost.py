@@ -11,8 +11,8 @@ and it is exactly 0.0 at and below ocean.depth_independent_below. So
 profiles that start at the same climb depth sample the same field, bit
 for bit, until their depths part with one of them above that depth. A
 family's trunk is flown once; every other member resumes from the trunk's
-state at its own fork step. Each family is one independent work unit
-suitable for parallel delegation.
+state at its own fork step. A family flies with the env, vehicle and
+integration it was grouped for, and is one independent work unit.
 """
 
 import math
@@ -62,18 +62,17 @@ _new = tuple.__new__
 
 class EdgeCostResult(NamedTuple):
     """Minimum travel time over the profile set. Infeasible traversals are
-    represented as None, never as a sentinel number. per_profile_times
-    follows the families' profiles in order."""
+    represented as None, never as a sentinel number."""
 
     best_time: object
     best_profile_index: object
-    per_profile_times: tuple
 
 
 @dataclass(frozen=True)
 class Family:
     """Dive profiles flown as one trajectory until their depths part
-    (profile_families, solo_families). Immutable, so one family serves
+    (profile_families, solo_families), through env by veh with integ, the
+    only ones its fork steps hold for. Immutable, so one family serves
     every edge of a search and every pool worker.
 
     profiles holds the members, trunk first. stops holds the distinct
@@ -86,6 +85,9 @@ class Family:
     profiles: tuple
     stops: tuple
     flights: tuple
+    env: object
+    veh: object
+    integ: object
 
 
 class EdgeTask(NamedTuple):
@@ -98,16 +100,12 @@ class EdgeTask(NamedTuple):
     edge: object
     t_start: float
     family: Family
-    env: object
-    veh: object
-    integ: object
     t_limit: object = None
 
     def run(self):
-        # one unpack reads the fields faster than seven attribute reads
-        _id, edge, t_start, family, env, veh, integ, t_limit = self
-        return traverse_edge(edge, t_start, family, env, veh, integ, None,
-                             t_limit)
+        # one unpack reads the fields faster than four attribute reads
+        _id, edge, t_start, family, t_limit = self
+        return traverse_edge(edge, t_start, family, None, t_limit)
 
 
 def _sawtooth(profile, w_vert):
@@ -131,14 +129,15 @@ def sawtooth_depth(t_rel, profile, w_vert):
     return _depth(t_rel, *_sawtooth(profile, w_vert), w_vert)
 
 
-def _family(members, forks, w_vert):
+def _family(members, forks, env, veh, integ):
     """A Family of members, trunk first, with each member's fork step
     (None: never)."""
     stops = sorted({f for f in forks if f is not None})
     slots = [None if f is None else stops.index(f) for f in forks]
     return Family(
         tuple(members), tuple(stops) + (-1,),
-        tuple((i,) + _sawtooth(p, w_vert) for p, i in zip(members, slots)))
+        tuple((i,) + _sawtooth(p, veh.w_vert) for p, i in zip(members, slots)),
+        env, veh, integ)
 
 
 def _fork_step(trunk, member, z_flat, w_vert, integ):
@@ -169,10 +168,10 @@ def _fork_step(trunk, member, z_flat, w_vert, integ):
     return None
 
 
-def solo_families(profiles, veh):
+def solo_families(profiles, env, veh, integ):
     """Every profile as a family of its own, in the given order: nothing
     is shared."""
-    return [_family((p,), (None,), veh.w_vert) for p in profiles]
+    return [_family((p,), (None,), env, veh, integ) for p in profiles]
 
 
 def profile_families(profiles, env, veh, integ):
@@ -184,13 +183,11 @@ def profile_families(profiles, env, veh, integ):
     longest, and every other member forks from it at _fork_step. All other
     profiles never climb above z_flat, so they sample the same field at
     every step and form one family that never forks, led by the first of
-    them. With no known z_flat every profile is a family of its own.
-    Families, and the members after each trunk, keep the given order.
+    them. Families, and the members after each trunk, keep the given
+    order.
     """
     w_vert = veh.w_vert
     z_flat = depth_independent_below(env)
-    if z_flat is None:
-        return solo_families(profiles, veh)
     groups = {}
     for p in profiles:
         climb = p.z_climb_to if p.z_climb_to < z_flat else None
@@ -198,7 +195,8 @@ def profile_families(profiles, env, veh, integ):
     out = []
     for climb, members in groups.items():
         if climb is None:
-            out.append(_family(members, [None] * len(members), w_vert))
+            out.append(_family(members, [None] * len(members), env, veh,
+                               integ))
             continue
         i = max(range(len(members)), key=lambda j: members[j].z_dive_to)
         trunk = members[i]
@@ -206,16 +204,16 @@ def profile_families(profiles, env, veh, integ):
         out.append(_family(
             [trunk] + rest,
             [None] + [_fork_step(trunk, p, z_flat, w_vert, integ) for p in rest],
-            w_vert))
+            env, veh, integ))
     return out
 
 
-def traverse_edge(edge, t_start, family, env, veh, integ, trace=None,
-                  t_limit=None):
+def traverse_edge(edge, t_start, family, trace=None, t_limit=None):
     """Travel time along the edge for each of the family's profiles, in
-    family order, or None if no profile arrives. A profile's time is None
-    if its traversal is infeasible (track cannot be held, ground speed
-    collapses, or the step budget is exhausted).
+    family order, or None if no profile arrives, flown with the family's
+    env, veh and integ. A profile's time is None if its traversal is
+    infeasible (track cannot be held, ground speed collapses, or the step
+    budget is exhausted).
 
     The vehicle crabs to null cross-track drift, so the along-track ground
     speed is c_par + sqrt(v_bf^2 - c_perp^2). The final step is shortened
@@ -235,6 +233,7 @@ def traverse_edge(edge, t_start, family, env, veh, integ, trace=None,
     t_start + time < t_limit is never cut and returns the same time as
     without a deadline.
     """
+    env, veh, integ = family.env, family.veh, family.integ
     v_bf = veh.v_bf
     v_bf2 = v_bf * v_bf
     w_vert = veh.w_vert
@@ -297,8 +296,7 @@ def serial_evaluator(tasks):
     return [task.run() for task in tasks]
 
 
-def edge_cost(edge, t_start, families, env, veh, integ, evaluator=None,
-              t_limit=None):
+def edge_cost(edge, t_start, families, evaluator=None, t_limit=None):
     """Minimum travel time over the families' profiles, lowest profile
     index on ties.
 
@@ -321,12 +319,11 @@ def edge_cost(edge, t_start, families, env, veh, integ, evaluator=None,
         evaluator = serial_evaluator
     tasks = []
     for family in families:
-        tasks.append(_new(EdgeTask, (len(tasks), edge, t_start, family, env,
-                                     veh, integ, t_limit)))
+        tasks.append(_new(EdgeTask, (len(tasks), edge, t_start, family,
+                                     t_limit)))
     results = evaluator(tasks)
     best = None
     best_i = None
-    times = ()
     # Counters, not zip: on a graph whose edges fly one step, building
     # a zip per edge costs more than the loop itself.
     i = 0
@@ -334,9 +331,7 @@ def edge_cost(edge, t_start, families, env, veh, integ, evaluator=None,
         profiles = families[i].profiles
         i += 1
         if family_times is None:
-            times += (None,) * len(profiles)
             continue
-        times += family_times
         j = 0
         for t in family_times:
             if t is not None and (best is None or t < best or t == best
@@ -344,4 +339,4 @@ def edge_cost(edge, t_start, families, env, veh, integ, evaluator=None,
                 best = t
                 best_i = profiles[j].index
             j += 1
-    return _new(EdgeCostResult, (best, best_i, times))
+    return _new(EdgeCostResult, (best, best_i))

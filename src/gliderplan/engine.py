@@ -204,10 +204,6 @@ class WorkerPool:
         self.shutdown()
 
 
-def start_pool(cfg):
-    return WorkerPool(cfg)
-
-
 def pool_evaluator(pool):
     """Edge-cost evaluation strategy backed by the worker pool."""
 

@@ -234,16 +234,14 @@ def surface_term(z, t, surf, omega):
 
 def depth_independent_below(env):
     """The depth (m) at and below which env's field does not vary with
-    depth, or None if no such depth is known.
+    depth.
 
     The surface term is the only depth-dependent part, and surface_term
     is exactly 0.0 at z >= z_decay; the other modes ignore depth.
     """
     if env.mode in (MODE_FULL, MODE_SURFACE):
         return env.surface.z_decay
-    if env.mode in (MODE_JET, MODE_UNIFORM, MODE_STILL):
-        return 0.0
-    return None
+    return 0.0
 
 
 def velocity(x, y, z, t, env):

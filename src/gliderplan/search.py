@@ -11,10 +11,10 @@ flown at all. An edge into an unsettled head is flown with the head's
 tentative arrival as its deadline (cost.edge_cost's t_limit), since a
 later arrival cannot improve the label.
 
-The profiles are grouped into families once per search
-(cost.profile_families), and each costed edge flies one trajectory per
-family: profiles that share a climb depth share their steps until their
-depths part.
+The profiles are grouped into families once per search, for its env,
+vehicle and integration (cost.profile_families). Each costed edge flies
+one trajectory per family: profiles that share a climb depth share their
+steps until their depths part.
 """
 
 import heapq
@@ -90,8 +90,8 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             if m in settled:
                 continue
             tentative = arrival.get(m)
-            best_time, best_i, _times = edge_cost(
-                edge, t, families, env, veh, integ, evaluator, tentative)
+            best_time, best_i = edge_cost(edge, t, families, evaluator,
+                                          tentative)
             if best_time is None:
                 continue
             arr = t + best_time
@@ -115,7 +115,7 @@ def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
-    families = solo_families(profiles, veh)
+    families = solo_families(profiles, env, veh, integ)
     best = {"arrival": None, "legs": None}
 
     def visit(node, t, hops, on_path, legs):
@@ -131,7 +131,7 @@ def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=
             m = edge.to
             if m in on_path:
                 continue
-            result = edge_cost(edge, t, families, env, veh, integ, evaluator)
+            result = edge_cost(edge, t, families, evaluator)
             if result.best_time is None:
                 continue
             on_path.add(m)

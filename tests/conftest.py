@@ -43,8 +43,8 @@ def straight_edge(x0, y0, x1, y1, frm=0, to=1):
 
 def fly(edge, t_start, profile, env, veh, integ, **kwargs):
     """traverse_edge for one profile flown alone: its time, or None."""
-    family, = gp.solo_families([profile], veh)
-    times = gp.traverse_edge(edge, t_start, family, env, veh, integ, **kwargs)
+    family, = gp.solo_families([profile], env, veh, integ)
+    times = gp.traverse_edge(edge, t_start, family, **kwargs)
     return None if times is None else times[0]
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import gliderplan as gp
 from gliderplan.cli import main
-from conftest import EXAMPLE_MISSION, adverse_surface_time, jet_core_y
+from conftest import EXAMPLE_MISSION, adverse_surface_time, fly, jet_core_y
 from test_search import fifo_instances
 
 
@@ -162,13 +162,20 @@ def test_criterion_7_depth_avoidance():
     y = jet_core_y(0.0, t_adv, env.jet)
     length = 0.4
     edge = gp.Edge(0, 1, 0.0, y, length, y, length, 1.0, 0.0)
-    families = gp.solo_families(profiles, veh)
-    res = gp.edge_cost(edge, t_adv, families, env, veh, integ)
+    res = gp.edge_cost(edge, t_adv,
+                       gp.solo_families(profiles, env, veh, integ))
     with_surface_ok = profiles[res.best_profile_index].z_climb_to > 0.0
-    res_jet = gp.edge_cost(edge, t_adv, families,
-                           gp.FlowEnvironment(mode="jet"), veh, integ)
+    jet = gp.FlowEnvironment(mode="jet")
+    res_jet = gp.edge_cost(edge, t_adv,
+                           gp.solo_families(profiles, jet, veh, integ))
+    # every profile ties without the surface term: alone, and in the one
+    # family the jet field groups them into
+    alone = [fly(edge, t_adv, p, jet, veh, integ) for p in profiles]
+    family, = gp.profile_families(profiles, jet, veh, integ)
     without_surface_ok = (res_jet.best_profile_index == 0
-                          and len(set(res_jet.per_profile_times)) == 1)
+                          and len(set(alone)) == 1 and alone[0] is not None
+                          and gp.traverse_edge(edge, t_adv, family)
+                          == tuple(alone))
     report("7 depth avoidance", with_surface_ok and without_surface_ok)
 
 

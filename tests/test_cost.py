@@ -174,20 +174,22 @@ class TestTraverseEdge:
 class TestEdgeCost:
     def test_single_profile(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
-        res = gp.edge_cost(edge, 0.0,
-                           gp.solo_families([gp.DiveProfile(0.0, 200.0, 0)],
-                                            veh),
-                           gp.FlowEnvironment.still(), veh, integ)
+        env = gp.FlowEnvironment.still()
+        prof = gp.DiveProfile(0.0, 200.0, 0)
+        res = gp.edge_cost(edge, 0.0, gp.solo_families([prof], env, veh, integ))
         assert res.best_profile_index == 0
-        assert res.best_time == res.per_profile_times[0]
+        assert res.best_time == fly(edge, 0.0, prof, env, veh, integ)
 
     def test_still_water_all_profiles_tie(self, paper_profile_params,
                                           veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         profiles = gp.generate_dive_profiles(paper_profile_params)
-        res = gp.edge_cost(edge, 0.0, gp.solo_families(profiles, veh),
-                           gp.FlowEnvironment.still(), veh, integ)
-        assert len(set(res.per_profile_times)) == 1
+        env = gp.FlowEnvironment.still()
+        res = gp.edge_cost(edge, 0.0,
+                           gp.solo_families(profiles, env, veh, integ))
+        assert len(set(times_by_index(
+            edge, 0.0, gp.profile_families(profiles, env, veh, integ))
+            .values())) == 1
         assert res.best_profile_index == 0
 
     def test_adverse_surface_best_climbs_deeper(self, paper_profile_params,
@@ -196,8 +198,8 @@ class TestEdgeCost:
         y = jet_core_y(0.0, t_adv, default_env.jet)
         edge = straight_edge(0.0, y, 0.4, y)
         profiles = gp.generate_dive_profiles(paper_profile_params)
-        res = gp.edge_cost(edge, t_adv, gp.solo_families(profiles, veh),
-                           default_env, veh, integ)
+        res = gp.edge_cost(edge, t_adv,
+                           gp.solo_families(profiles, default_env, veh, integ))
         assert profiles[res.best_profile_index].z_climb_to > 0.0
 
     def test_all_infeasible_propagates(self, veh, integ):
@@ -205,16 +207,18 @@ class TestEdgeCost:
         env = gp.FlowEnvironment.uniform(0.0, 0.9)
         profiles = [gp.DiveProfile(0.0, 200.0, 0),
                     gp.DiveProfile(10.0, 200.0, 1)]
-        res = gp.edge_cost(edge, 0.0, gp.solo_families(profiles, veh),
-                           env, veh, integ)
+        res = gp.edge_cost(edge, 0.0,
+                           gp.solo_families(profiles, env, veh, integ))
         assert res.best_time is None
         assert res.best_profile_index is None
-        assert res.per_profile_times == (None, None)
+        assert times_by_index(
+            edge, 0.0, gp.profile_families(profiles, env, veh, integ)) == {
+                0: "None", 1: "None"}
 
     def test_empty_profiles_rejected(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         with pytest.raises(gp.ParameterError):
-            gp.edge_cost(edge, 0.0, [], gp.FlowEnvironment.still(), veh, integ)
+            gp.edge_cost(edge, 0.0, [])
 
     def test_depth_shielding_bit_exact(self, veh, integ):
         # profiles never entering the surface layer give bit-identical
@@ -233,15 +237,19 @@ class TestEdgeCost:
         integ = gp.IntegrationParams(dt=0.02)
         profiles = gp.generate_dive_profiles(paper_profile_params)
         edge = straight_edge(0.0, 0.5, 0.4, 0.7)
-        for families in (gp.solo_families(profiles, veh),
+        for families in (gp.solo_families(profiles, default_env, veh, integ),
                          gp.profile_families(profiles, default_env, veh,
                                              integ)):
-            serial = gp.edge_cost(edge, 1.0, families, default_env, veh,
-                                  integ)
+            tasks = [gp.EdgeTask(i, edge, 1.0, f)
+                     for i, f in enumerate(families)]
+            serial = gp.edge_cost(edge, 1.0, families)
             with gp.WorkerPool(gp.EngineConfig(5)) as pool:
-                parallel = gp.edge_cost(edge, 1.0, families, default_env,
-                                        veh, integ, gp.pool_evaluator(pool))
-            assert serial == parallel  # bit-exact, incl. per-profile times
+                parallel = gp.edge_cost(edge, 1.0, families,
+                                        gp.pool_evaluator(pool))
+                pooled_times = gp.pool_evaluator(pool)(tasks)
+            assert serial == parallel  # bit-exact
+            # and so is every profile's time
+            assert repr(pooled_times) == repr(gp.serial_evaluator(tasks))
 
     def test_pool_pairs_times_with_profiles_out_of_index_order(self, veh,
                                                                integ):
@@ -251,22 +259,27 @@ class TestEdgeCost:
         env = gp.FlowEnvironment()
         profiles = [gp.DiveProfile(0.0, 200.0, 5),
                     gp.DiveProfile(40.0, 200.0, 2)]
-        for families in (gp.solo_families(profiles, veh),
+        for families in (gp.solo_families(profiles, env, veh, integ),
                          gp.profile_families(profiles, env, veh, integ)):
-            serial = gp.edge_cost(edge, 0.3, families, env, veh, integ)
+            serial = gp.edge_cost(edge, 0.3, families)
             with gp.WorkerPool(gp.EngineConfig(2)) as pool:
-                parallel = gp.edge_cost(edge, 0.3, families, env, veh,
-                                        integ, gp.pool_evaluator(pool))
+                parallel = gp.edge_cost(edge, 0.3, families,
+                                        gp.pool_evaluator(pool))
             assert serial == parallel
             assert serial.best_profile_index == 5
 
 
-def times_by_index(families, result):
-    """{profile index: time} of an EdgeCostResult over families."""
-    profiles = [p for f in families for p in f.profiles]
-    assert len(profiles) == len(result.per_profile_times)
-    return {p.index: repr(t)
-            for p, t in zip(profiles, result.per_profile_times)}
+def times_by_index(edge, t_start, families, t_limit=None):
+    """{profile index: repr(time)} of every member of families, each
+    family flown once with traverse_edge."""
+    out = {}
+    for family in families:
+        times = gp.traverse_edge(edge, t_start, family, t_limit=t_limit)
+        if times is None:
+            times = (None,) * len(family.profiles)
+        assert len(times) == len(family.profiles)
+        out.update((p.index, repr(t)) for p, t in zip(family.profiles, times))
+    return out
 
 
 class TestDistinctProfiles:
@@ -290,7 +303,7 @@ class TestDistinctProfiles:
         profiles = self.with_boundary_profile(paper_profile_params,
                                               env.surface.z_decay)
         families = gp.profile_families(profiles, env, veh, integ)
-        solo = gp.solo_families(profiles, veh)
+        solo = gp.solo_families(profiles, env, veh, integ)
         # the boundary profile flies with the profiles that never climb
         # above z_decay; in jet mode every profile does
         shielded = families[-1]
@@ -308,12 +321,12 @@ class TestDistinctProfiles:
             edge = straight_edge(x0, y0, x0 + 0.4 * math.cos(heading),
                                  y0 + 0.4 * math.sin(heading))
             t = rng.uniform(0.0, 8.0)
-            every = gp.edge_cost(edge, t, solo, env, veh, integ)
-            grouped = gp.edge_cost(edge, t, families, env, veh, integ)
+            every = gp.edge_cost(edge, t, solo)
+            grouped = gp.edge_cost(edge, t, families)
             assert repr(grouped.best_time) == repr(every.best_time)
             assert grouped.best_profile_index == every.best_profile_index
-            assert (times_by_index(families, grouped)
-                    == times_by_index(solo, every))
+            assert (times_by_index(edge, t, families)
+                    == times_by_index(edge, t, solo))
 
     def test_counts(self, paper_profile_params):
         profiles = gp.generate_dive_profiles(paper_profile_params)
@@ -339,25 +352,33 @@ class TestDistinctProfiles:
             assert len(families) == 1
             assert list(families[0].profiles) == profiles
             assert families[0].stops == (-1,)
-        solo = gp.solo_families(profiles, veh)
-        assert [f.profiles for f in solo] == [(p,) for p in profiles]
+            solo = gp.solo_families(profiles, env, veh, integ)
+            assert [f.profiles for f in solo] == [(p,) for p in profiles]
+            # each family flies with what it was grouped for
+            assert all((f.env, f.veh, f.integ) == (env, veh, integ)
+                       for f in families + solo)
 
     def test_best_index_is_the_profiles_own(self, veh, integ):
         edge = straight_edge(0.0, 0.0, 1.0, 0.0)
         env = gp.FlowEnvironment.still()
         res = gp.edge_cost(edge, 0.0,
                            gp.solo_families([gp.DiveProfile(20.0, 200.0, 11)],
-                                            veh), env, veh, integ)
+                                            env, veh, integ))
         assert res.best_profile_index == 11
-        # every profile ties in still water: the lowest index wins, in
-        # whatever order the profiles and families come
+        # every profile ties in still water, and in a surface current of
+        # zero amplitude, which groups the profiles as the full field does:
+        # the lowest index wins, in whatever order the profiles and
+        # families come
         profiles = [gp.DiveProfile(20.0, 200.0, 11),
                     gp.DiveProfile(0.0, 60.0, 5), gp.DiveProfile(0.0, 200.0, 7)]
-        for families in (gp.solo_families(profiles, veh),
-                         gp.profile_families(profiles, gp.FlowEnvironment(),
-                                             veh, integ),
+        calm = gp.FlowEnvironment(surface=gp.SurfaceCurrentParams(W0=0.0),
+                                  mode="surface")
+        forked = gp.profile_families(profiles, calm, veh, integ)
+        assert [[p.index for p in f.profiles] for f in forked] == [[11], [7, 5]]
+        assert forked[1].stops[:-1]
+        for families in (gp.solo_families(profiles, env, veh, integ), forked,
                          gp.profile_families(profiles, env, veh, integ)):
-            res = gp.edge_cost(edge, 0.0, families, env, veh, integ)
+            res = gp.edge_cost(edge, 0.0, families)
             assert res.best_profile_index == 5
 
 
@@ -409,22 +430,18 @@ class TestFamilies:
         assert sorted(p.index for f in families for p in f.profiles) == sorted(
             indices)
         for family in families:
-            times = gp.traverse_edge(edge, t_start, family, env, veh, integ,
-                                     t_limit=t_limit)
+            times = gp.traverse_edge(edge, t_start, family, t_limit=t_limit)
             alone = [fly(edge, t_start, p, env, veh, integ, t_limit=t_limit)
                      for p in family.profiles]
             if times is None:
                 assert alone == [None] * len(alone)
             else:
                 assert [repr(t) for t in times] == [repr(t) for t in alone]
-        grouped = gp.edge_cost(edge, t_start, families, env, veh, integ,
-                               t_limit=t_limit)
-        solo = gp.solo_families(profiles, veh)
-        every = gp.edge_cost(edge, t_start, solo, env, veh, integ,
-                             t_limit=t_limit)
+        grouped = gp.edge_cost(edge, t_start, families, t_limit=t_limit)
+        solo = gp.solo_families(profiles, env, veh, integ)
+        every = gp.edge_cost(edge, t_start, solo, t_limit=t_limit)
         assert repr(grouped.best_time) == repr(every.best_time)
         assert grouped.best_profile_index == every.best_profile_index
-        assert times_by_index(families, grouped) == times_by_index(solo, every)
 
 
 class TestDeadline:
@@ -481,8 +498,7 @@ class TestDeadline:
         env = gp.FlowEnvironment(mode=mode)
         families = gp.profile_families(self.PROFILES, env, self.VEH,
                                        self.INTEG)
-        args = (self.edge(x0, y0, heading, length), t_start, families, env,
-                self.VEH, self.INTEG)
+        args = (self.edge(x0, y0, heading, length), t_start, families)
         free = gp.edge_cost(*args)
         assert gp.edge_cost(*args, t_limit=None) == free
         for limit in self.limits(t_start, free.best_time, frac):

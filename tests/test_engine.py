@@ -78,11 +78,11 @@ class TestRoundsRequired:
 
 class TestPoolLifecycle:
     def test_single_worker(self):
-        with gp.start_pool(gp.EngineConfig(1)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(1)) as pool:
             assert pool.n_workers == 1
 
     def test_47_workers(self):
-        with gp.start_pool(gp.EngineConfig(47)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(47)) as pool:
             assert pool.n_workers == 47
             res = pool.delegate([SleepTask(i, 0.0) for i in range(20)])
             assert len(res) == 20
@@ -92,7 +92,7 @@ class TestPoolLifecycle:
             gp.EngineConfig(0)
 
     def test_use_after_shutdown_rejected(self):
-        pool = gp.start_pool(gp.EngineConfig(2))
+        pool = gp.WorkerPool(gp.EngineConfig(2))
         pool.shutdown()
         with pytest.raises(gp.EngineError):
             pool.delegate([SleepTask(0, 0.0)])
@@ -100,7 +100,7 @@ class TestPoolLifecycle:
 
 class TestSleepWake:
     def test_sleep_all_then_partial_wake(self):
-        with gp.start_pool(gp.EngineConfig(8, sleep_poll_interval=0.02)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(8, sleep_poll_interval=0.02)) as pool:
             pool.sleep_all()
             states = wait_for_states(pool, lambda s: s.count(ASLEEP) == 8)
             assert states == [ASLEEP] * 8
@@ -110,7 +110,7 @@ class TestSleepWake:
             assert states[3:] == [ASLEEP] * 5
 
     def test_wake_zero_is_noop(self):
-        with gp.start_pool(gp.EngineConfig(3, sleep_poll_interval=0.02)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(3, sleep_poll_interval=0.02)) as pool:
             pool.sleep_all()
             wait_for_states(pool, lambda s: s.count(ASLEEP) == 3)
             pool.wake(0)
@@ -118,7 +118,7 @@ class TestSleepWake:
             assert pool.worker_states() == [ASLEEP] * 3
 
     def test_wake_clamps_to_pool_size(self):
-        with gp.start_pool(gp.EngineConfig(3, sleep_poll_interval=0.02)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(3, sleep_poll_interval=0.02)) as pool:
             pool.sleep_all()
             wait_for_states(pool, lambda s: s.count(ASLEEP) == 3)
             pool.wake(100)
@@ -127,7 +127,7 @@ class TestSleepWake:
 
     def test_sleeping_worker_latency_bounded(self):
         interval = 0.1
-        with gp.start_pool(gp.EngineConfig(1, sleep_poll_interval=interval)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(1, sleep_poll_interval=interval)) as pool:
             pool.sleep_all()
             wait_for_states(pool, lambda s: s == [ASLEEP])
             start = time.perf_counter()
@@ -138,7 +138,7 @@ class TestSleepWake:
 
 class TestDelegate:
     def test_results_complete_and_ordered(self):
-        with gp.start_pool(gp.EngineConfig(4)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(4)) as pool:
             # uneven durations so completion order differs from task order
             tasks = [SleepTask(i, 0.02 if i % 2 else 0.001) for i in range(11)]
             results = pool.delegate(tasks)
@@ -147,17 +147,17 @@ class TestDelegate:
             assert all(r.duration >= 0 for r in results)
 
     def test_empty_task_list_rejected(self):
-        with gp.start_pool(gp.EngineConfig(2)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(2)) as pool:
             with pytest.raises(gp.ParameterError):
                 pool.delegate([])
 
     def test_duplicate_ids_rejected(self):
-        with gp.start_pool(gp.EngineConfig(2)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(2)) as pool:
             with pytest.raises(gp.ParameterError):
                 pool.delegate([SleepTask(1, 0.0), SleepTask(1, 0.0)])
 
     def test_worker_failure_reports_task_ids(self):
-        with gp.start_pool(gp.EngineConfig(3)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(3)) as pool:
             tasks = [SleepTask(0, 0.0), FailTask(1), SleepTask(2, 0.0),
                      FailTask(3)]
             with pytest.raises(gp.EngineError) as exc:
@@ -167,7 +167,7 @@ class TestDelegate:
     def test_system_exit_in_task_reported_not_hung(self):
         # A BaseException from a task must not kill its worker: the master
         # would then wait for ever on the missing result.
-        pool = gp.start_pool(gp.EngineConfig(2))
+        pool = gp.WorkerPool(gp.EngineConfig(2))
         outcome = []
 
         def master():
@@ -190,7 +190,7 @@ class TestDelegate:
     @pytest.mark.filterwarnings(
         "ignore::pytest.PytestUnhandledThreadExceptionWarning")
     def test_dead_worker_fails_delegate_not_hangs(self):
-        pool = gp.start_pool(gp.EngineConfig(2))
+        pool = gp.WorkerPool(gp.EngineConfig(2))
         pool._results = LosingQueue()
         outcome = []
 
@@ -214,7 +214,7 @@ class TestDelegate:
     @pytest.mark.parametrize("n_tasks,n_workers", [(20, 5), (20, 7), (20, 20)])
     def test_round_structure_timing(self, n_tasks, n_workers):
         duration = 0.04
-        with gp.start_pool(gp.EngineConfig(n_workers)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(n_workers)) as pool:
             tasks = [SleepTask(i, duration) for i in range(n_tasks)]
             start = time.perf_counter()
             pool.delegate(tasks)
@@ -224,7 +224,7 @@ class TestDelegate:
 
     def test_final_partial_round(self):
         # 20 tasks over 7 workers: 3 rounds, last round carries 6 tasks
-        with gp.start_pool(gp.EngineConfig(7)) as pool:
+        with gp.WorkerPool(gp.EngineConfig(7)) as pool:
             results = pool.delegate([SleepTask(i, 0.001) for i in range(20)])
         last_round_ids = {r.task_id for r in results[14:]}
         assert last_round_ids == set(range(14, 20))

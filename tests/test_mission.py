@@ -264,6 +264,44 @@ class TestCmdPlan:
         p.write_text('<mission><dive_profiles n_dive_levels="0"/></mission>')
         assert main(["plan", "--mission", str(p)]) == 3
 
+    def test_usage_error_exit_code(self, capsys):
+        # argparse's own exit code, 2, is the no-path code
+        assert main(["plan"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gliderplan plan")
+        assert "config error: " in err and "--mission" in err
+
+    def test_serial_and_parallel_exclusive(self, still_mission, tmp_path,
+                                           capsys):
+        assert main(["plan", "--mission", still_mission, "--serial",
+                     "--parallel", "--out", str(tmp_path / "out")]) == 3
+        assert "not allowed with argument --serial" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_each_leg_starts_at_its_climb_depth(self, example_mission,
+                                                 tmp_path):
+        # the sawtooth phase restarts on every leg: each leg's flight
+        # begins at its own profile's climb depth, at the leg's departure
+        out = tmp_path / "out"
+        assert main(["plan", "--mission", example_mission, "--serial",
+                     "--out", str(out)]) == 0
+        result = read_path_xml(str(out / "path.xml"))
+        profiles = gp.generate_dive_profiles(
+            gp.parse_mission(example_mission).profile_params)
+        lines = (out / "path_trace.csv").read_text().splitlines()
+        assert lines[0] == "leg,t,s,x,y,z,u,v,g"
+        first = {}
+        for line in lines[1:]:
+            leg, t, _s, _x, _y, z = line.split(",")[:6]
+            first.setdefault(int(leg), (float(t), float(z)))
+        assert sorted(first) == list(range(len(result.legs)))
+        climbs = [profiles[leg.profile_index].z_climb_to
+                  for leg in result.legs]
+        assert [z for _t, z in first.values()] == climbs
+        assert [t for t, _z in first.values()] == [
+            leg.departure for leg in result.legs]
+        assert len(set(climbs)) > 1  # the path changes climb depth
+
     def test_zero_length_edge_exit_code(self, tmp_path, capsys):
         # lattice points 1.0 apart collapse at x = 1e17
         p = tmp_path / "collapsed.xml"
@@ -308,6 +346,12 @@ class TestCmdBench:
         for r in rows[1:]:
             assert float(r[4]) == pytest.approx(serial_search / float(r[3]))
 
+    def test_repeat_below_one_rejected(self, still_mission, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--mission", still_mission, "--workers", "1",
+                     "--repeat", "0", "--out", str(out)]) == 3
+        assert not out.exists()
+
 
 class TestCmdNoop:
     def test_csv_rows(self, tmp_path):
@@ -318,6 +362,12 @@ class TestCmdNoop:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n_workers,phase,wall_ms"
         assert len(lines) == 1 + 2 * 3  # startup/teardown/total per count
+
+    def test_repeat_below_one_rejected(self, tmp_path):
+        out = tmp_path / "noop.csv"
+        assert main(["noop", "--workers", "1", "--repeat", "0",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 class TestCmdField:

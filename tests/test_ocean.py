@@ -141,7 +141,7 @@ class TestVelocity:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_depth_independent_below(self, mode):
-        # the profile collapse in cost.distinct_profiles is exact only if
+        # the profile families of cost.profile_families are exact only if
         # the field is bit-identical at and below this depth in every mode
         env = gp.FlowEnvironment(mode=mode, ux=0.1, uy=-0.2)
         z_flat = depth_independent_below(env)

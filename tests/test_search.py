@@ -52,12 +52,12 @@ def recording(evaluator, calls):
 
 def fifo_holds(g, t0, profiles, env, veh, integ, n_edges=12, n_times=4):
     """Sampled FIFO check: later departures never arrive earlier."""
-    families = gp.solo_families(profiles, veh)
+    families = gp.solo_families(profiles, env, veh, integ)
     for edge in list(g.edges())[::7][:n_edges]:
         last = None
         for i in range(n_times):
             t = t0 + i * 0.8
-            res = gp.edge_cost(edge, t, families, env, veh, integ)
+            res = gp.edge_cost(edge, t, families)
             if res.best_time is None:
                 continue
             arrival = t + res.best_time
@@ -137,10 +137,10 @@ class TestPlanBasics:
     def test_resimulation_consistency(self):
         g, t0, profiles, env, veh, integ = make_instance(4)
         res = gp.plan(g, t0, profiles, env, veh, integ)
-        families = gp.solo_families(profiles, veh)
+        families = gp.solo_families(profiles, env, veh, integ)
         for leg in res.legs:
             edge = next(e for e in g.adj[leg.frm] if e.to == leg.to)
-            again = gp.edge_cost(edge, leg.departure, families, env, veh, integ)
+            again = gp.edge_cost(edge, leg.departure, families)
             assert again.best_time == leg.travel_time  # bit-exact
             assert again.best_profile_index == leg.profile_index
 
@@ -195,9 +195,8 @@ class TestFamilies:
                                                        t0):
         inst = example_instance(t0)
         grouped = gp.plan(*inst)
-        monkeypatch.setattr(
-            gliderplan.search, "profile_families",
-            lambda profiles, env, veh, integ: gp.solo_families(profiles, veh))
+        monkeypatch.setattr(gliderplan.search, "profile_families",
+                            gp.solo_families)
         alone = gp.plan(*inst)
         assert grouped == alone
         assert repr(grouped) == repr(alone)
