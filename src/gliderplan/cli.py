@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 no path found, 3 configuration error,
 """
 
 import argparse
+import dataclasses
 import os
 import statistics
 import sys
@@ -25,39 +26,32 @@ EXIT_CONFIG = 3
 EXIT_RUNTIME = 4
 
 
-def _setup(cfg):
-    profiles = generate_dive_profiles(cfg.profile_params)
-    graph = build_grid(cfg.grid)
-    insert_terminal(graph, cfg.start[0], cfg.start[1], "start")
-    insert_terminal(graph, cfg.goal[0], cfg.goal[1], "goal")
-    return graph, profiles
-
-
-def run_plan(cfg, parallel, n_workers=None):
-    """One planning run; returns (PathResult, graph, search_s, total_s)."""
+def run_plan(cfg, n_workers=None):
+    """One planning run: serial when n_workers is None, else through a pool
+    of n_workers workers with the mission's other <engine> settings, shut
+    down however the run ends. Returns (PathResult, graph, search_s,
+    total_s)."""
     t_begin = time.perf_counter()
-    if parallel:
-        workers = n_workers if n_workers is not None else cfg.engine.n_workers
-        pool = WorkerPool(EngineConfig(workers, cfg.engine.sleep_poll_interval))
-        try:
-            if cfg.auto_sleep:
-                pool.sleep_all()
-            graph, profiles = _setup(cfg)
+    pool = evaluator = None
+    if n_workers is not None:
+        pool = WorkerPool(dataclasses.replace(cfg.engine, n_workers=n_workers))
+    try:
+        if pool is not None and cfg.auto_sleep:
+            pool.sleep_all()
+        profiles = generate_dive_profiles(cfg.profile_params)
+        graph = build_grid(cfg.grid)
+        insert_terminal(graph, cfg.start[0], cfg.start[1], "start")
+        insert_terminal(graph, cfg.goal[0], cfg.goal[1], "goal")
+        if pool is not None:
             pool.wake(pool.n_workers)
             evaluator = pool_evaluator(pool)
-            t_search = time.perf_counter()
-            result = plan(graph, cfg.t0, profiles, cfg.env, cfg.vehicle,
-                          cfg.integration, evaluator)
-            search_s = time.perf_counter() - t_search
-            pool.sleep_all()
-        finally:
-            pool.shutdown()
-    else:
-        graph, profiles = _setup(cfg)
         t_search = time.perf_counter()
         result = plan(graph, cfg.t0, profiles, cfg.env, cfg.vehicle,
-                      cfg.integration, None)
+                      cfg.integration, evaluator)
         search_s = time.perf_counter() - t_search
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return result, graph, search_s, time.perf_counter() - t_begin
 
 
@@ -99,38 +93,37 @@ def write_plan_outputs(cfg, result, graph, out_dir):
 
 
 def cmd_plan(args):
+    """Plan as --serial or --parallel says, else as the mission's <run mode>
+    says. A pool plan has --workers workers, or the mission's <engine
+    n_workers> without the flag; --workers on a serial plan is a usage
+    error."""
     cfg = parse_mission(args.mission)
-    parallel = args.parallel or cfg.run_mode == "parallel" and not args.serial
-    result, graph, search_s, total_s = run_plan(cfg, parallel, args.workers_one)
+    n_workers = None
+    if args.parallel or cfg.run_mode == "parallel" and not args.serial:
+        n_workers = (cfg.engine.n_workers if args.workers is None
+                     else args.workers)
+    elif args.workers is not None:
+        raise ConfigError("--workers sets a pool size, but this plan runs "
+                          "serially")
+    result, graph, search_s, total_s = run_plan(cfg, n_workers)
     write_plan_outputs(cfg, result, graph, args.out)
     print("path: %d legs, arrival %.6f (search %.3f s, total %.3f s)"
           % (len(result.legs), result.arrival, search_s, total_s))
     return EXIT_OK
 
 
-def _median_runs(fn, repeat):
-    samples = [fn() for _ in range(repeat)]
-    search = statistics.median(s for s, _ in samples)
-    total = statistics.median(t for _, t in samples)
-    return search, total
+def _median_run(cfg, n_workers, repeat):
+    """Median (search_s, total_s) of `repeat` run_plan runs."""
+    runs = [run_plan(cfg, n_workers)[2:] for _ in range(repeat)]
+    return tuple(map(statistics.median, zip(*runs)))
 
 
 def bench_rows(cfg, worker_counts, repeat):
     """S-TVE once plus P-TVE per worker count; medians of `repeat` runs."""
-
-    def serial_run():
-        _res, _g, search_s, total_s = run_plan(cfg, parallel=False)
-        return search_s, total_s
-
-    serial_search, serial_total = _median_runs(serial_run, repeat)
+    serial_search, serial_total = _median_run(cfg, None, repeat)
     rows = [("S-TVE", 1, serial_total * 1e3, serial_search * 1e3, 1.0)]
     for k in worker_counts:
-        def parallel_run():
-            _res, _g, search_s, total_s = run_plan(cfg, parallel=True,
-                                                   n_workers=k)
-            return search_s, total_s
-
-        search_s, total_s = _median_runs(parallel_run, repeat)
+        search_s, total_s = _median_run(cfg, k, repeat)
         rows.append(("P-TVE", k, total_s * 1e3, search_s * 1e3,
                      serial_search / search_s))
     return rows
@@ -261,7 +254,8 @@ def build_parser():
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--serial", action="store_true")
     mode.add_argument("--parallel", action="store_true")
-    p.add_argument("--workers", dest="workers_one", type=int, default=None)
+    p.add_argument("--workers", type=int,
+                   help="pool size of a pool plan; default <engine n_workers>")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("bench", help="serial vs parallel planning benchmark")

@@ -18,7 +18,6 @@ from .errors import EngineError, ParameterError
 
 ASLEEP = "asleep"
 AWAKE = "awake"
-BUSY = "busy"
 
 # How long (s) the master waits on a result before it checks that every
 # worker thread is still alive: a dead worker never sends its result.
@@ -41,7 +40,6 @@ class EngineConfig:
 class TaskResult:
     task_id: int
     value: object
-    worker_id: int
     duration: float
     error: object = None
 
@@ -78,9 +76,8 @@ class WorkerPool:
     def _worker_loop(self, wid):
         inbox = self._inboxes[wid]
         interval = self.cfg.sleep_poll_interval
-        state = AWAKE
         while True:
-            if state == ASLEEP:
+            if self._states[wid] == ASLEEP:
                 try:
                     msg = inbox.get_nowait()
                 except queue.Empty:
@@ -92,30 +89,20 @@ class WorkerPool:
             if kind == "stop":
                 return
             if kind == "sleep":
-                state = ASLEEP
-                self._states[wid] = state
+                self._states[wid] = ASLEEP
             elif kind == "wake":
-                state = AWAKE
-                self._states[wid] = state
+                self._states[wid] = AWAKE
             elif kind == "ping":
                 self._control.put(("pong", wid))
             elif kind == "task":
                 task = msg[1]
-                self._states[wid] = BUSY
                 start = time.perf_counter()
                 try:
-                    value = task.run()
+                    value, error = task.run(), None
                 except BaseException as exc:  # reported to the master, not raised here
-                    self._results.put(
-                        TaskResult(task.task_id, None, wid,
-                                   time.perf_counter() - start, exc)
-                    )
-                else:
-                    self._results.put(
-                        TaskResult(task.task_id, value, wid,
-                                   time.perf_counter() - start)
-                    )
-                self._states[wid] = state
+                    value, error = None, exc
+                self._results.put(TaskResult(
+                    task.task_id, value, time.perf_counter() - start, error))
 
     def worker_states(self):
         return list(self._states)

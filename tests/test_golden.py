@@ -55,7 +55,7 @@ LATTICE_GOLDEN = (
 
 def digests(tmp_path, t0, parallel, mission=EXAMPLE_MISSION):
     cfg = dataclasses.replace(parse_mission(str(mission)), t0=t0)
-    result, graph, _search_s, _total_s = run_plan(cfg, parallel, 2)
+    result, graph, _search_s, _total_s = run_plan(cfg, 2 if parallel else None)
     write_plan_outputs(cfg, result, graph, str(tmp_path))
     return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in FILES)

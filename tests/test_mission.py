@@ -247,7 +247,7 @@ class TestCmdPlan:
 
         monkeypatch.setattr(gliderplan.cli, "plan", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            run_plan(cfg, parallel=True)
+            run_plan(cfg, cfg.engine.n_workers)
         assert len(workers) == cfg.engine.n_workers
         assert not any(t.is_alive() for t in workers)
 
@@ -277,6 +277,65 @@ class TestCmdPlan:
                      "--parallel", "--out", str(tmp_path / "out")]) == 3
         assert "not allowed with argument --serial" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_workers_with_serial_is_usage_error(self, still_mission,
+                                                tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["plan", "--mission", still_mission, "--serial",
+                     "--workers", "2", "--out", str(out)]) == 3
+        assert "config error: --workers" in capsys.readouterr().err
+        assert not (out / "path.xml").exists()
+
+    @pytest.mark.parametrize("run", ["", '<run mode="serial"/>'])
+    def test_workers_on_serial_mission_is_usage_error(self, tmp_path, run):
+        # a mission without <run> plans serially, like <run mode="serial"/>
+        p = tmp_path / "serial.xml"
+        p.write_text(STILL_MISSION.replace("</mission>", run + "</mission>"))
+        out = tmp_path / "out"
+        assert main(["plan", "--mission", str(p), "--workers", "2",
+                     "--out", str(out)]) == 3
+        assert not (out / "path.xml").exists()
+
+    def test_workers_sizes_the_pool_of_a_parallel_mission(
+            self, still_mission, tmp_path, monkeypatch):
+        p = tmp_path / "parallel.xml"
+        p.write_text(STILL_MISSION.replace(
+            '<engine n_workers="2"/>',
+            '<engine n_workers="4" sleep_poll_interval_ms="50"/>'
+            '<run mode="parallel"/>'))
+        configs = []
+
+        def recording_pool(cfg):
+            configs.append(cfg)
+            return gp.WorkerPool(cfg)
+
+        monkeypatch.setattr(gliderplan.cli, "WorkerPool", recording_pool)
+        outs = [tmp_path / name for name in ("serial", "flag", "engine")]
+        assert main(["plan", "--mission", still_mission,
+                     "--out", str(outs[0])]) == 0
+        assert main(["plan", "--mission", str(p), "--workers", "2",
+                     "--out", str(outs[1])]) == 0
+        assert main(["plan", "--mission", str(p), "--out", str(outs[2])]) == 0
+        # the flag sets the pool size only; the rest comes from <engine>
+        assert configs == [gp.EngineConfig(2, 0.05), gp.EngineConfig(4, 0.05)]
+        xml = [(out / "path.xml").read_bytes() for out in outs]
+        assert xml[1] == xml[0] and xml[2] == xml[0]
+
+    def test_serial_run_plan_starts_no_thread(self, still_mission,
+                                              monkeypatch):
+        cfg = gp.parse_mission(still_mission)
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        run_plan(cfg)
+        assert started == []
+        run_plan(cfg, 2)
+        assert len(started) == 2
 
     def test_each_leg_starts_at_its_climb_depth(self, example_mission,
                                                  tmp_path):
