@@ -68,7 +68,6 @@ def write_plan_outputs(cfg, result, graph, out_dir):
 
     rows = [(result.t0, graph.nodes[graph.start_id].x,
              graph.nodes[graph.start_id].y)]
-    t = result.t0
     for leg in result.legs:
         t = leg.departure + leg.travel_time
         node = graph.nodes[leg.to]

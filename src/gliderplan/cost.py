@@ -8,11 +8,13 @@ over a set of candidate dive profiles.
 Profiles are flown in families, grouped once per search
 (profile_families). Only the surface term of the field depends on depth,
 and it is exactly 0.0 at and below ocean.depth_independent_below. So
-profiles that start at the same climb depth sample the same field, bit
-for bit, until their depths part with one of them above that depth. A
-family's trunk is flown once; every other member resumes from the trunk's
-state at its own fork step. A family flies with the env, vehicle and
-integration it was grouped for, and is one independent work unit.
+profiles that start at the same climb depth, or that never climb above
+that depth, sample the same field, bit for bit, until their depths part
+with one of them above it; one rule (_fork_step) finds that step, or
+that there is none. A family's trunk is flown once; every other member
+resumes from the trunk's state at its own fork step. A family flies with
+the env, vehicle and integration it was grouped for, and is one
+independent work unit.
 """
 
 import math
@@ -143,7 +145,8 @@ def _family(members, forks, env, veh, integ):
 def _fork_step(trunk, member, z_flat, w_vert, integ):
     """The first step at which member's depth differs from trunk's with
     one of them above z_flat, the first step at which their fields may
-    differ; None (never) for the same (climb, dive) pair.
+    differ; None (never) for the same (climb, dive) pair, or when neither
+    climbs above z_flat, so both sample the same field at every step.
 
     Depths come from _depth at the kernel's own elapsed sequence
     (elapsed += dt), so the step is exact. The scan is bounded: it stops
@@ -154,7 +157,7 @@ def _fork_step(trunk, member, z_flat, w_vert, integ):
     """
     a = _sawtooth(trunk, w_vert)
     b = _sawtooth(member, w_vert)
-    if a[:2] == b[:2]:
+    if a[:2] == b[:2] or min(a[0], b[0]) >= z_flat:
         return None
     bound = min(a[3], b[3])
     dt = integ.dt
@@ -177,27 +180,21 @@ def solo_families(profiles, env, veh, integ):
 def profile_families(profiles, env, veh, integ):
     """The profiles grouped into families; made once per search.
 
-    Profiles climbing above z_flat = depth_independent_below(env)
-    (z_climb_to < z_flat) are grouped by climb depth. A group's trunk is
-    its first profile with the deepest dive, which stays below z_flat
-    longest, and every other member forks from it at _fork_step. All other
-    profiles never climb above z_flat, so they sample the same field at
-    every step and form one family that never forks, led by the first of
-    them. Families, and the members after each trunk, keep the given
-    order.
+    Profiles are grouped by min(z_climb_to, z_flat), with
+    z_flat = depth_independent_below(env): by climb depth if they climb
+    above z_flat, else all in one group. A group's trunk is its first
+    profile with the deepest dive, which stays below z_flat longest, and
+    every other member forks from it at _fork_step, which alone decides
+    whether it ever does. Families, and the members after each trunk, keep
+    the given order.
     """
     w_vert = veh.w_vert
     z_flat = depth_independent_below(env)
     groups = {}
     for p in profiles:
-        climb = p.z_climb_to if p.z_climb_to < z_flat else None
-        groups.setdefault(climb, []).append(p)
+        groups.setdefault(min(p.z_climb_to, z_flat), []).append(p)
     out = []
-    for climb, members in groups.items():
-        if climb is None:
-            out.append(_family(members, [None] * len(members), env, veh,
-                               integ))
-            continue
+    for members in groups.values():
         i = max(range(len(members)), key=lambda j: members[j].z_dive_to)
         trunk = members[i]
         rest = members[:i] + members[i + 1:]

@@ -13,6 +13,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EngineError, ParameterError
 
@@ -57,7 +58,6 @@ class WorkerPool:
     def __init__(self, cfg):
         self.cfg = cfg
         self._results = queue.Queue()
-        self._control = queue.Queue()
         self._inboxes = [queue.Queue() for _ in range(cfg.n_workers)]
         self._states = [AWAKE] * cfg.n_workers
         self._threads = []
@@ -92,8 +92,6 @@ class WorkerPool:
                 self._states[wid] = ASLEEP
             elif kind == "wake":
                 self._states[wid] = AWAKE
-            elif kind == "ping":
-                self._control.put(("pong", wid))
             elif kind == "task":
                 task = msg[1]
                 start = time.perf_counter()
@@ -118,14 +116,6 @@ class WorkerPool:
             raise ParameterError("wake count must be >= 0")
         for wid in range(min(k, self.cfg.n_workers)):
             self._inboxes[wid].put(("wake",))
-
-    def ping_all(self):
-        """Round-trip handshake with every worker."""
-        self._check_alive()
-        for inbox in self._inboxes:
-            inbox.put(("ping",))
-        for _ in range(self.cfg.n_workers):
-            self._control.get()
 
     def delegate(self, tasks):
         """Dispatch tasks in rounds of up to n_workers, waiting for the full
@@ -200,14 +190,27 @@ def pool_evaluator(pool):
     return evaluate
 
 
+class _NoopTask(NamedTuple):
+    """A task that does nothing; noop_run's handshake."""
+
+    task_id: int
+
+    def run(self):
+        return None
+
+
 def noop_run(cfg):
-    """Start the pool, handshake with every worker, tear down; report
-    wall-clock durations. Measures infrastructure overhead only."""
+    """Start the pool, handshake with every worker through one delegate
+    round of no-op tasks, one per worker (the dispatch and result path
+    plans use), tear down; report wall-clock durations. Measures
+    infrastructure overhead only."""
     t0 = time.perf_counter()
     pool = WorkerPool(cfg)
-    pool.ping_all()
-    t1 = time.perf_counter()
-    pool.shutdown()
+    try:
+        pool.delegate([_NoopTask(wid) for wid in range(cfg.n_workers)])
+        t1 = time.perf_counter()
+    finally:
+        pool.shutdown()
     t2 = time.perf_counter()
     return {
         "n_workers": cfg.n_workers,

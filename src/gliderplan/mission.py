@@ -9,7 +9,7 @@ fields of its config dataclass, whose field defaults fill omitted values.
 
 import csv
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 from .cost import IntegrationParams, VehicleParams
 from .engine import EngineConfig
@@ -44,23 +44,29 @@ def _parse_bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
+def _attr(el, name, conv, default=MISSING):
+    """el's attribute name converted by conv, or default if it is absent;
+    a ConfigError names the element and the attribute if it is absent with
+    no default or conv rejects it."""
+    raw = el.attrib.get(name)
+    if raw is None:
+        if default is MISSING:
+            raise ConfigError("<%s>: missing attribute %r" % (el.tag, name))
+        return default
+    try:
+        return conv(raw)
+    except ValueError as exc:
+        raise ConfigError("<%s %s=%r>: %s" % (el.tag, name, raw, exc))
+
+
 def _attrs(el, schema):
     """Attribute dict per schema {name: (converter, default)}; rejects
     unknown attribute names."""
     for key in el.attrib:
         if key not in schema:
             raise ConfigError("<%s>: unknown attribute %r" % (el.tag, key))
-    out = {}
-    for name, (conv, default) in schema.items():
-        raw = el.attrib.get(name)
-        if raw is None:
-            out[name] = default
-        else:
-            try:
-                out[name] = conv(raw)
-            except ValueError as exc:
-                raise ConfigError("<%s %s=%r>: %s" % (el.tag, name, raw, exc))
-    return out
+    return {name: _attr(el, name, conv, default)
+            for name, (conv, default) in schema.items()}
 
 
 def _build(factory, element_name, **kwargs):
@@ -89,7 +95,9 @@ _SCHEMAS = {cls: _schema(cls) for cls in (
 _START = {"x": (float, 0.2), "y": (float, 0.0)}
 _GOAL = {"x": (float, 7.8), "y": (float, 0.0)}
 _SEARCH = {"t0": (float, 0.0)}
-_ENGINE = {"n_workers": (int, 4), "sleep_poll_interval_ms": (float, 100.0),
+_ENGINE = {"n_workers": (int, 4),
+           "sleep_poll_interval_ms": (
+               float, EngineConfig.sleep_poll_interval * 1e3),
            "auto_sleep": (_parse_bool, False)}
 _RUN = {"mode": (str, "serial")}
 _ELEMENTS = {"flow", "vehicle", "integration", "grid", "dive_profiles",
@@ -191,12 +199,12 @@ def read_path_xml(path):
     for el in root:
         if el.tag != "leg":
             raise ConfigError("unknown element <%s> in path file" % el.tag)
-        legs.append(Leg(int(el.attrib["from"]), int(el.attrib["to"]),
-                        float(el.attrib["departure"]),
-                        float(el.attrib["travel_time"]),
-                        int(el.attrib["profile"])))
-    return PathResult(legs, float(root.attrib["t0"]),
-                      float(root.attrib["arrival"]))
+        legs.append(Leg(_attr(el, "from", int), _attr(el, "to", int),
+                        _attr(el, "departure", float),
+                        _attr(el, "travel_time", float),
+                        _attr(el, "profile", int)))
+    return PathResult(legs, _attr(root, "t0", float),
+                      _attr(root, "arrival", float))
 
 
 def write_csv(path, header, rows):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
 import gliderplan.cost
+import gliderplan.ocean
 from conftest import adverse_surface_time, fly, jet_core_y, straight_edge
 
 
@@ -382,10 +383,65 @@ class TestDistinctProfiles:
             assert res.best_profile_index == 5
 
 
+def fork_steps(family):
+    """{profile index: fork step (None: never)} of a family's members."""
+    return {p.index: None if flight[0] is None else family.stops[flight[0]]
+            for p, flight in zip(family.profiles, family.flights)}
+
+
+def two_branch_families(profiles, env, veh, integ):
+    """Families as (members, fork steps), trunk first, grouped with a
+    branch of their own for the profiles that never climb above z_flat:
+    they form one family led by the first of them, whose members are
+    given no fork step without asking _fork_step. profile_families must
+    group exactly as this does."""
+    z_flat = gliderplan.ocean.depth_independent_below(env)
+    groups = {}
+    for p in profiles:
+        climb = p.z_climb_to if p.z_climb_to < z_flat else None
+        groups.setdefault(climb, []).append(p)
+    out = []
+    for climb, members in groups.items():
+        if climb is None:
+            out.append((members, [None] * len(members)))
+            continue
+        i = max(range(len(members)), key=lambda j: members[j].z_dive_to)
+        trunk = members[i]
+        rest = members[:i] + members[i + 1:]
+        out.append(([trunk] + rest, [None] + [
+            gliderplan.cost._fork_step(trunk, p, z_flat, veh.w_vert, integ)
+            for p in rest]))
+    return out
+
+
+class TestForkStep:
+    VEH = gp.VehicleParams()
+    INTEG = gp.IntegrationParams(dt=0.02)
+    Z_FLAT = gp.SurfaceCurrentParams().z_decay
+
+    def fork_step(self, trunk, member):
+        return gliderplan.cost._fork_step(
+            gp.DiveProfile(*trunk, 0), gp.DiveProfile(*member, 1),
+            self.Z_FLAT, self.VEH.w_vert, self.INTEG)
+
+    def test_never_for_profiles_that_never_climb_above_z_flat(self):
+        assert self.Z_FLAT == 15.0
+        assert self.fork_step((80.0 / 3.0, 200.0), (40.0, 110.0)) is None
+        assert self.fork_step((40.0, 110.0), (80.0 / 3.0, 200.0)) is None
+        assert self.fork_step((self.Z_FLAT, 170.0), (40.0, 110.0)) is None
+
+    def test_a_step_within_a_climb_group(self):
+        step = self.fork_step((0.0, 200.0), (0.0, 110.0))
+        assert step is not None and step > 0
+        # until the shallower dive turns back up, both are at one depth
+        turn = (110.0 - 0.0) / self.VEH.w_vert / self.INTEG.dt
+        assert step >= math.floor(turn)
+
+
 class TestFamilies:
     """Flying a family gives every member the time, bit for bit, that it
     gives when flown alone, in every flow mode and with or without a
-    deadline."""
+    deadline; the families are those of two_branch_families."""
 
     Z_DECAY = gp.SurfaceCurrentParams().z_decay
     ENVS = {
@@ -429,6 +485,17 @@ class TestFamilies:
         families = gp.profile_families(profiles, env, veh, integ)
         assert sorted(p.index for f in families for p in f.profiles) == sorted(
             indices)
+        # one grouping rule gives the families of two branches: the same
+        # partition, the same trunk wherever a member forks, and the same
+        # fork step for every member
+        before = two_branch_families(profiles, env, veh, integ)
+        assert ([{p.index for p in f.profiles} for f in families]
+                == [{p.index for p in members} for members, _ in before])
+        for family, (members, forks) in zip(families, before):
+            assert fork_steps(family) == {
+                p.index: f for p, f in zip(members, forks)}
+            if any(f is not None for f in forks):
+                assert family.profiles[0] is members[0]
         for family in families:
             times = gp.traverse_edge(edge, t_start, family, t_limit=t_limit)
             alone = [fly(edge, t_start, p, env, veh, integ, t_limit=t_limit)

@@ -242,6 +242,20 @@ class TestNoopRun:
         assert report["total_ms"] == pytest.approx(
             report["startup_ms"] + report["teardown_ms"], rel=0.05)
 
+    def test_handshake_is_one_delegate_round(self, monkeypatch):
+        calls = []
+        delegate = gp.WorkerPool.delegate
+
+        def record(pool, tasks):
+            tasks = list(tasks)
+            calls.append(tasks)
+            return delegate(pool, tasks)
+
+        monkeypatch.setattr(gp.WorkerPool, "delegate", record)
+        gp.noop_run(gp.EngineConfig(3))
+        assert [len(tasks) for tasks in calls] == [3]
+        assert sorted(t.task_id for t in calls[0]) == [0, 1, 2]
+
     def test_repeated_runs_stable_medians(self):
         import statistics
         totals = [gp.noop_run(gp.EngineConfig(16))["total_ms"]

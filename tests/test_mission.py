@@ -60,6 +60,7 @@ class TestParseMission:
         assert cfg.goal == (7.8, 0.0)
         assert cfg.t0 == 0.0
         assert cfg.engine.sleep_poll_interval == pytest.approx(0.1)
+        assert cfg.engine == gp.EngineConfig(4)
         assert cfg.auto_sleep is False
         assert cfg.run_mode == "serial"
         # the module sections take their config dataclasses' field defaults
@@ -175,6 +176,26 @@ class TestPathXmlRoundTrip:
         assert again.legs == result.legs
         assert again.t0 == result.t0
         assert again.arrival == result.arrival
+
+    @pytest.mark.parametrize("text, names", [
+        ('<path t0="0.0"/>', ("<path>", "'arrival'")),
+        ('<path arrival="1.0"/>', ("<path>", "'t0'")),
+        ('<path t0="0.0" arrival="late"/>', ("<path", "arrival=")),
+        ('<path t0="0.0" arrival="0.5"><leg from="1" to="2" departure="0.0"'
+         ' travel_time="x" profile="3"/></path>', ("<leg", "travel_time=")),
+        ('<path t0="0.0" arrival="0.5"><leg from="1" to="2" departure="0.0"'
+         ' travel_time="0.5"/></path>', ("<leg>", "'profile'")),
+        ('<path t0="0.0" arrival="0.5"><leg from="1.5" to="2" departure="0.0"'
+         ' travel_time="0.5" profile="3"/></path>', ("<leg", "from=")),
+    ], ids=["path-no-arrival", "path-no-t0", "path-bad-arrival",
+            "leg-bad-travel_time", "leg-no-profile", "leg-bad-from"])
+    def test_bad_attribute_names_element_and_attribute(self, tmp_path, text,
+                                                       names):
+        out = tmp_path / "path.xml"
+        out.write_text(text)
+        with pytest.raises(gp.ConfigError) as info:
+            read_path_xml(str(out))
+        assert all(name in str(info.value) for name in names)
 
     def test_byte_stable(self, tmp_path):
         result = PathResult([Leg(1, 2, 0.0, 0.5, 3)], 0.0, 0.5)
