@@ -55,13 +55,6 @@ def run_plan(cfg, n_workers=None):
     return result, graph, search_s, time.perf_counter() - t_begin
 
 
-def _find_edge(graph, frm, to):
-    for edge in graph.adj[frm]:
-        if edge.to == to:
-            return edge
-    raise RuntimeError("leg edge %d->%d not found" % (frm, to))
-
-
 def write_plan_outputs(cfg, result, graph, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_path_xml(result, os.path.join(out_dir, "path.xml"))
@@ -77,11 +70,11 @@ def write_plan_outputs(cfg, result, graph, out_dir):
     profiles = generate_dive_profiles(cfg.profile_params)
     trace_rows = []
     for i, leg in enumerate(result.legs):
-        edge = _find_edge(graph, leg.frm, leg.to)
         trace = []
         family, = solo_families([profiles[leg.profile_index]], cfg.env,
                                 cfg.vehicle, cfg.integration)
-        traverse_edge(edge, leg.departure, family, trace=trace)
+        traverse_edge(graph.edge(leg.frm, leg.to), leg.departure, family,
+                      trace=trace)
         for t, s, x, y, z, u, v, g in trace:
             trace_rows.append((i, t, s, x, y, z, u, v, g))
     write_csv(os.path.join(out_dir, "path_trace.csv"),

@@ -95,14 +95,14 @@ class Family:
 class EdgeTask(NamedTuple):
     """Self-contained per-family edge-cost work unit (value message).
 
-    t_limit is traverse_edge's absolute deadline, or None. It travels in
-    the task so that every evaluator cuts the same traversals."""
+    t_limit is traverse_edge's absolute deadline, math.inf for none. It
+    travels in the task so that every evaluator cuts the same traversals."""
 
     task_id: int
     edge: object
     t_start: float
     family: Family
-    t_limit: object = None
+    t_limit: float = math.inf
 
     def run(self):
         # one unpack reads the fields faster than four attribute reads
@@ -205,7 +205,7 @@ def profile_families(profiles, env, veh, integ):
     return out
 
 
-def traverse_edge(edge, t_start, family, trace=None, t_limit=None):
+def traverse_edge(edge, t_start, family, trace=None, t_limit=math.inf):
     """Travel time along the edge for each of the family's profiles, in
     family order, or None if no profile arrives, flown with the family's
     env, veh and integ. A profile's time is None if its traversal is
@@ -224,11 +224,11 @@ def traverse_edge(edge, t_start, family, trace=None, t_limit=None):
     (t, s, x, y, z, u, v, g) row is appended per step flown: the trunk's,
     then each resumed member's.
 
-    t_limit is an absolute deadline: a traversal stops with None as soon
-    as a step starts at t_start + elapsed >= t_limit. The returned time is
-    at least every earlier step's elapsed, so a traversal with
-    t_start + time < t_limit is never cut and returns the same time as
-    without a deadline.
+    t_limit is an absolute deadline, math.inf for none: a traversal stops
+    with None as soon as a step starts at t_start + elapsed >= t_limit.
+    The returned time is at least every earlier step's elapsed, so a
+    traversal with t_start + time < t_limit is never cut and returns the
+    same time as without a deadline.
     """
     env, veh, integ = family.env, family.veh, family.integ
     v_bf = veh.v_bf
@@ -237,9 +237,9 @@ def traverse_edge(edge, t_start, family, trace=None, t_limit=None):
     dt = integ.dt
     eps = integ.eps_speed
     max_steps = integ.max_steps
-    _frm, _to, x0, y0, _x1, _y1, length, dx, dy = edge  # a grid.Edge
+    # one unpack of the grid.Edge; the flight reads all but frm and to
+    _frm, _to, x0, y0, length, dx, dy = edge
     sqrt = math.sqrt
-    limit = math.inf if t_limit is None else t_limit
     stops = family.stops
     stop = stops[0]
     saved = ()
@@ -262,7 +262,7 @@ def traverse_edge(edge, t_start, family, trace=None, t_limit=None):
                 saved += ((s, elapsed),)
                 stop = stops[len(saved)]
             t = t_start + elapsed
-            if t >= limit:
+            if t >= t_limit:
                 break
             z = _depth(elapsed, z_climb, z_dive, half, period, w_vert)
             x = x0 + s * dx
@@ -293,7 +293,7 @@ def serial_evaluator(tasks):
     return [task.run() for task in tasks]
 
 
-def edge_cost(edge, t_start, families, evaluator=None, t_limit=None):
+def edge_cost(edge, t_start, families, evaluator=None, t_limit=math.inf):
     """Minimum travel time over the families' profiles, lowest profile
     index on ties.
 
@@ -305,10 +305,10 @@ def edge_cost(edge, t_start, families, evaluator=None, t_limit=None):
     profiles are grouped into families.
 
     t_limit is an absolute deadline handed to every traversal
-    (traverse_edge): a profile that cannot arrive before it may report
-    None. The result is the one without a deadline whenever that arrives
-    before t_limit (t_start + best_time < t_limit); otherwise best_time
-    is None or does not arrive before t_limit either.
+    (traverse_edge), math.inf for none: a profile that cannot arrive
+    before it may report None. The result is the one without a deadline
+    whenever that arrives before t_limit (t_start + best_time < t_limit);
+    otherwise best_time is None or does not arrive before t_limit either.
     """
     if not families:
         raise ParameterError("profile set must be non-empty")

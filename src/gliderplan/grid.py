@@ -44,7 +44,7 @@ class GridSpec:
 
 # One Edge is made per lattice edge (125,262 on the benchmark lattice); as
 # named tuples Node and Edge cost a fraction of a frozen dataclass to build
-# and to hold.
+# and to hold. An Edge holds only what a flight and the search read.
 class Node(NamedTuple):
     id: int
     x: float
@@ -52,15 +52,14 @@ class Node(NamedTuple):
 
 
 class Edge(NamedTuple):
-    """Directed edge with a full geometry snapshot so cost evaluation
-    needs no access to the graph."""
+    """Directed edge frm -> to, made by Graph.edge: the start point, the
+    length and the unit direction a flight reads, so cost evaluation needs
+    no access to the graph."""
 
     frm: int
     to: int
     x0: float
     y0: float
-    x1: float
-    y1: float
     length: float
     dx: float
     dy: float
@@ -87,7 +86,10 @@ class Graph:
         self.adj.append([])
         return node.id
 
-    def add_edge(self, a, b):
+    def edge(self, a, b):
+        """The edge a -> b from the node coordinates; the one formula every
+        edge of the graph is built with, so it rebuilds any of them
+        exactly."""
         _, ax, ay = self.nodes[a]
         _, bx, by = self.nodes[b]
         ex, ey = bx - ax, by - ay
@@ -95,8 +97,7 @@ class Graph:
         if length == 0.0:
             raise ParameterError("zero-length edge %d -> %d at (%g, %g)"
                                  % (a, b, ax, ay))
-        self.adj[a].append(_edge(
-            Edge, (a, b, ax, ay, bx, by, length, ex / length, ey / length)))
+        return _edge(Edge, (a, b, ax, ay, length, ex / length, ey / length))
 
     def edges(self):
         for lst in self.adj:
@@ -129,14 +130,15 @@ def build_grid(spec):
         for i in range(nx):
             g.add_node(spec.x_min + i * spec.h, spec.y_min + j * spec.h)
     offsets = coprime_offsets(spec.sector_order)
-    add_edge = g.add_edge
+    edge = g.edge
     for j in range(ny):
         for i in range(nx):
             a = j * nx + i
+            out = g.adj[a]
             for di, dj in offsets:
                 ii, jj = i + di, j + dj
                 if 0 <= ii < nx and 0 <= jj < ny:
-                    add_edge(a, jj * nx + ii)
+                    out.append(edge(a, jj * nx + ii))
     return g
 
 
@@ -157,8 +159,8 @@ def insert_terminal(g, x, y, role):
         dist = math.hypot(node.x - x, node.y - y)
         if dist == 0.0 or dist > radius:
             continue
-        g.add_edge(tid, node.id)
-        g.add_edge(node.id, tid)
+        g.adj[tid].append(g.edge(tid, node.id))
+        g.adj[node.id].append(g.edge(node.id, tid))
         linked += 1
     if linked == 0:
         raise ParameterError("no grid node within radius of terminal (%g, %g)" % (x, y))

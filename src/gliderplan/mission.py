@@ -188,7 +188,17 @@ def write_path_xml(result, path):
         fh.write("\n".join(lines) + "\n")
 
 
+# Path file attributes, in the field order of PathResult (after legs) and
+# of Leg.
+_PATH = {"t0": (float, MISSING), "arrival": (float, MISSING)}
+_LEG = {"from": (int, MISSING), "to": (int, MISSING),
+        "departure": (float, MISSING), "travel_time": (float, MISSING),
+        "profile": (int, MISSING)}
+
+
 def read_path_xml(path):
+    """PathResult from a path file; unknown elements and attributes are
+    rejected, as in a mission file."""
     try:
         root = ET.parse(path).getroot()
     except (ET.ParseError, OSError) as exc:
@@ -198,13 +208,10 @@ def read_path_xml(path):
     legs = []
     for el in root:
         if el.tag != "leg":
-            raise ConfigError("unknown element <%s> in path file" % el.tag)
-        legs.append(Leg(_attr(el, "from", int), _attr(el, "to", int),
-                        _attr(el, "departure", float),
-                        _attr(el, "travel_time", float),
-                        _attr(el, "profile", int)))
-    return PathResult(legs, _attr(root, "t0", float),
-                      _attr(root, "arrival", float))
+            raise ConfigError("unknown element <%s> inside <path>" % el.tag)
+        _children(el, (), "leg")
+        legs.append(Leg(*_attrs(el, _LEG).values()))
+    return PathResult(legs, *_attrs(root, _PATH).values())
 
 
 def write_csv(path, header, rows):

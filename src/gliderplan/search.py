@@ -18,6 +18,7 @@ steps until their depths part.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .cost import edge_cost, profile_families, solo_families
@@ -89,13 +90,13 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             m = edge.to
             if m in settled:
                 continue
-            tentative = arrival.get(m)
+            tentative = arrival.get(m, math.inf)
             best_time, best_i = edge_cost(edge, t, families, evaluator,
                                           tentative)
             if best_time is None:
                 continue
             arr = t + best_time
-            if tentative is None or arr < tentative:
+            if arr < tentative:
                 arrival[m] = arr
                 pred[m] = (edge, t, best_time, best_i)
                 heapq.heappush(heap, (arr, m))

@@ -35,9 +35,10 @@ def example_mission():
 
 
 def straight_edge(x0, y0, x1, y1, frm=0, to=1):
-    """Free-standing edge with the geometry snapshot filled in."""
+    """Free-standing edge from (x0, y0) to (x1, y1), with the arithmetic
+    of Graph.edge."""
     length = math.hypot(x1 - x0, y1 - y0)
-    return gp.Edge(frm, to, x0, y0, x1, y1, length,
+    return gp.Edge(frm, to, x0, y0, length,
                    (x1 - x0) / length, (y1 - y0) / length)
 
 

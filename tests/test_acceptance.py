@@ -10,7 +10,8 @@ import pytest
 
 import gliderplan as gp
 from gliderplan.cli import main
-from conftest import EXAMPLE_MISSION, adverse_surface_time, fly, jet_core_y
+from conftest import (EXAMPLE_MISSION, adverse_surface_time, fly, jet_core_y,
+                      straight_edge)
 from test_search import fifo_instances
 
 
@@ -160,8 +161,7 @@ def test_criterion_7_depth_avoidance():
     t_adv = adverse_surface_time(env)
     assert math.cos(env.surface.d * env.jet.omega * t_adv) <= -0.9
     y = jet_core_y(0.0, t_adv, env.jet)
-    length = 0.4
-    edge = gp.Edge(0, 1, 0.0, y, length, y, length, 1.0, 0.0)
+    edge = straight_edge(0.0, y, 0.4, y)
     res = gp.edge_cost(edge, t_adv,
                        gp.solo_families(profiles, env, veh, integ))
     with_surface_ok = profiles[res.best_profile_index].z_climb_to > 0.0

@@ -270,7 +270,7 @@ class TestEdgeCost:
             assert serial.best_profile_index == 5
 
 
-def times_by_index(edge, t_start, families, t_limit=None):
+def times_by_index(edge, t_start, families, t_limit=math.inf):
     """{profile index: repr(time)} of every member of families, each
     family flown once with traverse_edge."""
     out = {}
@@ -481,7 +481,7 @@ class TestFamilies:
         integ = gp.IntegrationParams(dt=dt)
         edge = straight_edge(x0, y0, x0 + length * math.cos(heading),
                              y0 + length * math.sin(heading))
-        t_limit = None if limit is None else t_start + limit
+        t_limit = math.inf if limit is None else t_start + limit
         families = gp.profile_families(profiles, env, veh, integ)
         assert sorted(p.index for f in families for p in f.profiles) == sorted(
             indices)
@@ -549,7 +549,7 @@ class TestDeadline:
                 self.PROFILES[k], gp.FlowEnvironment(mode=mode), self.VEH,
                 self.INTEG)
         free = fly(*args)
-        assert repr(fly(*args, t_limit=None)) == repr(free)
+        assert repr(fly(*args, t_limit=math.inf)) == repr(free)
         for limit in self.limits(t_start, free, frac):
             bounded = fly(*args, t_limit=limit)
             if free is not None and t_start + free < limit:
@@ -567,7 +567,7 @@ class TestDeadline:
                                        self.INTEG)
         args = (self.edge(x0, y0, heading, length), t_start, families)
         free = gp.edge_cost(*args)
-        assert gp.edge_cost(*args, t_limit=None) == free
+        assert gp.edge_cost(*args, t_limit=math.inf) == free
         for limit in self.limits(t_start, free.best_time, frac):
             bounded = gp.edge_cost(*args, t_limit=limit)
             if free.best_time is not None and t_start + free.best_time < limit:

@@ -20,6 +20,21 @@ class SleepTask:
 
 
 @dataclass(frozen=True)
+class StampTask:
+    """Sleeps for duration and records (start, end) of run() by
+    perf_counter() in stamps[task_id]."""
+
+    task_id: int
+    duration: float
+    stamps: dict
+
+    def run(self):
+        start = time.perf_counter()
+        time.sleep(self.duration)
+        self.stamps[self.task_id] = (start, time.perf_counter())
+
+
+@dataclass(frozen=True)
 class FailTask:
     task_id: int
 
@@ -221,6 +236,19 @@ class TestDelegate:
             wall = time.perf_counter() - start
         expected = gp.rounds_required(n_tasks, n_workers) * duration
         assert wall == pytest.approx(expected, rel=0.25)
+
+    def test_rounds_are_barriers(self):
+        # 20 tasks over 7 workers: round r holds task ids 7r .. 7r + 6, and
+        # no task of a round starts before every task of the one before it
+        # has ended; no timing tolerance
+        stamps = {}
+        with gp.WorkerPool(gp.EngineConfig(7)) as pool:
+            pool.delegate([StampTask(i, 0.002, stamps) for i in range(20)])
+        assert sorted(stamps) == list(range(20))
+        rounds = [range(0, 7), range(7, 14), range(14, 20)]
+        for before, after in zip(rounds, rounds[1:]):
+            ended = max(stamps[i][1] for i in before)
+            assert all(stamps[i][0] >= ended for i in after)
 
     def test_final_partial_round(self):
         # 20 tasks over 7 workers: 3 rounds, last round carries 6 tasks

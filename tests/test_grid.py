@@ -129,15 +129,22 @@ class TestExactGeometry:
                                         spec.y_min + j * spec.h)
             assert g.adj[node.id] == lattice_edges(g, spec, node.id)
 
+    @staticmethod
+    def with_terminals(spec):
+        """The lattice of spec with an off-lattice start and goal."""
+        g = gp.build_grid(spec)
+        gp.insert_terminal(g, spec.x_min + 0.37 * (spec.x_max - spec.x_min),
+                           spec.y_min + 0.61 * (spec.y_max - spec.y_min),
+                           "start")
+        gp.insert_terminal(g, spec.x_max - 0.45 * spec.h,
+                           spec.y_min + 0.2 * spec.h, "goal")
+        return g
+
     @pytest.mark.parametrize("spec", EXACT_SPECS)
     def test_terminal_edges_bit_exact_and_ordered(self, spec):
-        g = gp.build_grid(spec)
-        n_grid = len(g.nodes)
-        x = spec.x_min + 0.37 * (spec.x_max - spec.x_min)
-        y = spec.y_min + 0.61 * (spec.y_max - spec.y_min)
-        sid = gp.insert_terminal(g, x, y, "start")
-        gid = gp.insert_terminal(g, spec.x_max - 0.45 * spec.h,
-                                 spec.y_min + 0.2 * spec.h, "goal")
+        g = self.with_terminals(spec)
+        sid, gid = g.start_id, g.goal_id
+        n_grid = math.prod(spec.shape)
         radius = spec.sector_order * spec.h
         near = {}
         for tid in (sid, gid):
@@ -153,6 +160,14 @@ class TestExactGeometry:
                     for tid in (sid, gid) if n in near[tid]]
             assert g.adj[n.id] == lattice_edges(g, spec, n.id) + back
 
+    @pytest.mark.parametrize("spec", EXACT_SPECS)
+    def test_edge_rebuilds_every_edge(self, spec):
+        # a plan's leg edge, rebuilt from its two node ids, is the edge
+        # the search flew, bit for bit
+        g = self.with_terminals(spec)
+        for a in range(len(g.nodes)):
+            assert [g.edge(a, e.to) for e in g.adj[a]] == g.adj[a]
+
 
 class TestZeroLengthEdge:
     def test_collapsed_coordinates_rejected(self):
@@ -165,7 +180,7 @@ class TestZeroLengthEdge:
 
 
 NODE_FIELDS = ("id", "x", "y")
-EDGE_FIELDS = ("frm", "to", "x0", "y0", "x1", "y1", "length", "dx", "dy")
+EDGE_FIELDS = ("frm", "to", "x0", "y0", "length", "dx", "dy")
 
 
 class TestValueMessages:

@@ -197,6 +197,24 @@ class TestPathXmlRoundTrip:
             read_path_xml(str(out))
         assert all(name in str(info.value) for name in names)
 
+    @pytest.mark.parametrize("text, message", [
+        ('<path t0="0.0" arrival="1.0" bogus="x"/>',
+         "<path>: unknown attribute 'bogus'"),
+        ('<path t0="0.0" arrival="1.0"><leg from="1" to="2" departure="0.0"'
+         ' travel_time="1.0" profile="3" extra="y"/></path>',
+         "<leg>: unknown attribute 'extra'"),
+        ('<path t0="0.0" arrival="1.0"><leg from="1" to="2" departure="0.0"'
+         ' travel_time="1.0" profile="3"><child/></leg></path>',
+         "unknown element <child> inside <leg>"),
+    ], ids=["path-unknown-attribute", "leg-unknown-attribute", "leg-child"])
+    def test_unknown_attribute_or_element_rejected(self, tmp_path, text,
+                                                   message):
+        # a path file is held to the rules of a mission file
+        out = tmp_path / "path.xml"
+        out.write_text(text)
+        with pytest.raises(gp.ConfigError, match=re.escape(message)):
+            read_path_xml(str(out))
+
     def test_byte_stable(self, tmp_path):
         result = PathResult([Leg(1, 2, 0.0, 0.5, 3)], 0.0, 0.5)
         a, b = tmp_path / "a.xml", tmp_path / "b.xml"

@@ -182,7 +182,8 @@ class TestCostedEdges:
         assert nones(serial_calls) == nones(pool_calls)
         cut = [task for tasks, times in serial_calls
                for task, t in zip(tasks, times)
-               if t is None and task._replace(t_limit=None).run() is not None]
+               if t is None
+               and task._replace(t_limit=math.inf).run() is not None]
         assert cut  # the deadlines did cut traversals
 
 
