@@ -11,11 +11,13 @@ fault in the planner.
 
 import dataclasses
 import hashlib
+import importlib.util
 
 import pytest
 
 from gliderplan.cli import run_plan, write_plan_outputs
 from gliderplan.mission import parse_mission
+from gliderplan.ocean import FlowEnvironment
 from conftest import EXAMPLE_MISSION, REPO_ROOT
 
 FILES = ("path.xml", "path.csv", "path_trace.csv", "graph_stats.csv")
@@ -53,12 +55,67 @@ LATTICE_GOLDEN = (
     "a139e58894fc1965f895d662e252444bea2e2e58ea3e3fadf1783e1310648ba5")
 
 
-def digests(tmp_path, t0, parallel, mission=EXAMPLE_MISSION):
-    cfg = dataclasses.replace(parse_mission(str(mission)), t0=t0)
+# The benchmark's lattice-uniform missions 1-3 of seed 0: the current
+# turned by 1/4, 1/2 and 3/4 of a turn, and t0 shifted to match, as
+# perfbench/workloads.py writes them. Mission 0 is LATTICE_MISSION itself.
+LATTICE_TURNED_GOLDEN = {
+    1: ("0d565cb4d2bc07904134e284945e75f61cbfbd0ebf5425d6f1d0b68b5d394c9e",
+        "e6d18a96dcad4c8524064be5cd0e1c31854068e422cd6dabf5ba7d65655aae63",
+        "97b553de902efee29dede8e75841cdb5a9df7ae96464d2e86af8f0958a464717",
+        LATTICE_GOLDEN[3]),
+    2: ("b1336fc0c6323d537ca41ea9cf037200f0b5e6e0d902e6c828da92bb05e87642",
+        "b5e44b290dd34af24696159f61b06645052381f1fc9b0fa441d937438109546d",
+        "5bbd89fc457b3430008815c5c3656d86f5805536b5d45623124c496d44287d08",
+        LATTICE_GOLDEN[3]),
+    3: ("4551b8a4a878d943b230baa1a7d192707912a0bd7bec632e461b8db9fdfe102b",
+        "e850e3356542f151173d999037e25fd54c5817096fc6e63ce65dbadd752be0f5",
+        "9ce4fa54dab316987b142b86b960a01fac84b07aa4ad95ee97e383135e6c2688",
+        LATTICE_GOLDEN[3]),
+}
+
+# LATTICE_MISSION in other currents (ux, uy), None for still water. At
+# 0.6 the current outruns the vehicle (v_bf = 0.5).
+LATTICE_FLOW_GOLDEN = {
+    (0.2, 0.0): (
+        "7eb241832c6d148b983fca4534f8b7f4d809496010852ced9be2fc765ec6024f",
+        "ba44c9b082f65f4f7e557b97fedd7f507b752b23387c1a0ed1d7032e7dd9b535",
+        "1fc527dd199e26581aebb62b8157cc56322c372b62887048b426fd933c94bad6",
+        LATTICE_GOLDEN[3]),
+    (0.6, 0.0): (
+        "9d114c0d7b3d35dcb12b60faefc82a775e3103c73b82eaa81069f1ef29d295d2",
+        "76ff841bd2ae36e3a0cdfe29bc5ebcf8869eeda2b2c499dc4912e8eee8d456ec",
+        "72e95930386068e315629ef0c5ebe4598cba23dc74ec3b2accfc4a2944de7851",
+        LATTICE_GOLDEN[3]),
+    None: (
+        "e74fcf2cef7a42077d0e062cc4c58fda724153c306102f787d84b126f43aaf4e",
+        "9903b0b3ade914cb9b29d1623531001a45bfa962402945d80d3684743d1e42b2",
+        "ea619073b844ebcf1dbedd6fd1e5bdf340f0aafee9df1a6cf2f3a8e67d5d9fc5",
+        LATTICE_GOLDEN[3]),
+}
+
+
+def cfg_digests(tmp_path, cfg, parallel=False):
     result, graph, _search_s, _total_s = run_plan(cfg, 2 if parallel else None)
     write_plan_outputs(cfg, result, graph, str(tmp_path))
     return tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in FILES)
+
+
+def digests(tmp_path, t0, parallel, mission=EXAMPLE_MISSION):
+    cfg = dataclasses.replace(parse_mission(str(mission)), t0=t0)
+    return cfg_digests(tmp_path, cfg, parallel)
+
+
+def benchmark_missions(tmp_path):
+    """The lattice-uniform missions of benchmark seed 0, written by
+    perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.write_missions(workloads.WORKLOADS["lattice-uniform"],
+                                    str(REPO_ROOT), 0, str(tmp_path),
+                                    parse_mission)
 
 
 @pytest.mark.parametrize("t0", sorted(GOLDEN))
@@ -73,3 +130,20 @@ def test_pool_outputs(tmp_path):
 def test_lattice_uniform_outputs(tmp_path):
     assert digests(tmp_path, 0.0, parallel=False,
                    mission=LATTICE_MISSION) == LATTICE_GOLDEN
+
+
+@pytest.mark.parametrize("j", sorted(LATTICE_TURNED_GOLDEN))
+def test_lattice_turned_current_outputs(tmp_path, j):
+    mission = benchmark_missions(tmp_path)[j]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert (cfg_digests(out, parse_mission(mission))
+            == LATTICE_TURNED_GOLDEN[j])
+
+
+@pytest.mark.parametrize("flow", list(LATTICE_FLOW_GOLDEN), ids=str)
+def test_lattice_other_current_outputs(tmp_path, flow):
+    env = FlowEnvironment.still() if flow is None else FlowEnvironment.uniform(
+        *flow)
+    cfg = dataclasses.replace(parse_mission(str(LATTICE_MISSION)), env=env)
+    assert cfg_digests(tmp_path, cfg) == LATTICE_FLOW_GOLDEN[flow]
