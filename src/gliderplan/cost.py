@@ -149,24 +149,30 @@ def _fork_step(trunk, member, z_flat, w_vert, integ):
     climbs above z_flat, so both sample the same field at every step.
 
     Depths come from _depth at the kernel's own elapsed sequence
-    (elapsed += dt), so the step is exact. The scan is bounded: it stops
-    at the first step past the shorter sawtooth period, which it returns,
-    or after max_steps steps, which no traversal outlasts (None). Forking
-    a member earlier than needed only makes it fly more steps on its own,
-    which is still exact.
+    (elapsed += dt), so the step is exact. Profiles with one climb depth
+    (every pair profile_families asks about) descend from it side by side,
+    z_climb + w_vert * elapsed, until the shallower dive turns: up to
+    there the depths are equal bit for bit and are not computed. The scan
+    is bounded: it stops at the first step past the shorter sawtooth
+    period, which it returns, or after max_steps steps, which no traversal
+    outlasts (None). Forking a member earlier than needed only makes it
+    fly more steps on its own, which is still exact.
     """
     a = _sawtooth(trunk, w_vert)
     b = _sawtooth(member, w_vert)
     if a[:2] == b[:2] or min(a[0], b[0]) >= z_flat:
         return None
+    side_by_side = min(a[2], b[2]) if a[0] == b[0] else -1.0
     bound = min(a[3], b[3])
     dt = integ.dt
     elapsed = 0.0
     for k in range(integ.max_steps):
-        z_a = _depth(elapsed, *a, w_vert)
-        z_b = _depth(elapsed, *b, w_vert)
-        if z_a != z_b and (z_a < z_flat or z_b < z_flat) or elapsed > bound:
-            return k
+        if elapsed > side_by_side:
+            z_a = _depth(elapsed, *a, w_vert)
+            z_b = _depth(elapsed, *b, w_vert)
+            if (z_a != z_b and (z_a < z_flat or z_b < z_flat)
+                    or elapsed > bound):
+                return k
         elapsed += dt
     return None
 

@@ -89,19 +89,16 @@ class Graph:
     def edge(self, a, b):
         """The edge a -> b from the node coordinates; the one formula every
         edge of the graph is built with, so it rebuilds any of them
-        exactly."""
-        _, ax, ay = self.nodes[a]
-        _, bx, by = self.nodes[b]
+        exactly. The edge holds its nodes' own id objects, which saves an
+        int object per lattice edge."""
+        a, ax, ay = self.nodes[a]
+        b, bx, by = self.nodes[b]
         ex, ey = bx - ax, by - ay
         length = hypot(ex, ey)
         if length == 0.0:
             raise ParameterError("zero-length edge %d -> %d at (%g, %g)"
                                  % (a, b, ax, ay))
         return _edge(Edge, (a, b, ax, ay, length, ex / length, ey / length))
-
-    def edges(self):
-        for lst in self.adj:
-            yield from lst
 
     def n_edges(self):
         return sum(len(lst) for lst in self.adj)

@@ -244,6 +244,39 @@ def depth_independent_below(env):
     return 0.0
 
 
+def current_disk(env):
+    """A disk (cx, cy, r) in the (u, v) plane that holds every sample of
+    env's field, at every point, depth and time.
+
+    still: (0, 0, 0); uniform: (ux, uy, 0). The surface term is
+    W0 cos(d omega t) (1 - z / z_decay) with 0 < 1 - z / z_decay <= 1
+    where it is not zero, so |u| <= |W0| and v = 0: (0, 0, |W0|).
+
+    The jet's u = sech^2(q) / d lies in (0, 1], since sech^2 <= 1 and
+    d = sqrt(1 + k^2 B^2 sin^2 a) >= 1. Its v = -sech^2(q) dq/dx, with
+    dq/dx = B k sin(a) / d - q k^3 B^2 sin(a) cos(a) / d^2. The first
+    term's size is x / sqrt(1 + x^2) <= 1 with x = k B sin(a). The second
+    is sech^2(q) |q| <= 0.4478 times k^2 |B| |cos(a)| x / (1 + x^2), and
+    x / (1 + x^2) <= 1/2. With |B| <= B0 + epsilon:
+    |v| <= vb = 1 + 0.2239 k^2 (B0 + epsilon). So the jet's samples lie in
+    the box [0, 1] x [-vb, vb], inside (0.5, 0, hypot(0.5, vb)); full
+    mode adds the surface term to u, which widens the box's half-width to
+    0.5 + |W0| about the same centre.
+    """
+    mode = env.mode
+    if mode == MODE_STILL:
+        return 0.0, 0.0, 0.0
+    if mode == MODE_UNIFORM:
+        return env.ux, env.uy, 0.0
+    w0 = abs(env.surface.W0)
+    if mode == MODE_SURFACE:
+        return 0.0, 0.0, w0
+    jet = env.jet
+    vb = 1.0 + 0.2239 * jet.k * jet.k * (jet.B0 + jet.epsilon)
+    half_u = 0.5 + (w0 if mode == MODE_FULL else 0.0)
+    return 0.5, 0.0, math.hypot(half_u, vb)
+
+
 def velocity(x, y, z, t, env):
     """Current sample at horizontal position (x, y), depth z (m), time t.
 

@@ -1,15 +1,42 @@
 """Time-varying-environment shortest-time search.
 
-Label-setting (time-dependent Dijkstra): edge costs are evaluated at the
-arrival time of the settled tail node, no waiting at nodes. Optimality
-requires FIFO edge costs (Kaufman & Smith 1993), under which a settled
-label is final; plan() assumes them and does not check them.
+Label-setting A* over time-dependent edge costs: edge costs are evaluated
+at the arrival time of the settled tail node, no waiting at nodes. The
+queue is keyed on arrival + h(node), where h is a lower bound on the
+travel time from the node to the goal. With FIFO edge costs (Kaufman &
+Smith 1993) and a consistent h, a settled label is final, as in Dijkstra
+(Hart, Nilsson & Raphael 1968; Chabini & Lan 2002 for time-dependent
+networks); plan() assumes FIFO costs and does not check them. With h = 0
+the search is Dijkstra, key and tie rules included.
 
-Heap pops never decrease and travel times are positive, so an edge into a
-settled head m can never arrive before arrival[m]; such edges are not
-flown at all. An edge into an unsettled head is flown with the head's
-tentative arrival as its deadline (cost.edge_cost's t_limit), since a
-later arrival cannot improve the label.
+The bound comes from ocean.current_disk: every current sample c lies in a
+disk about (cx, cy) of radius r, so every ground velocity c + w of a
+vehicle with |w| = v_bf lies in the disk K about (cx, cy) of radius
+R = v_bf + r. Along a unit direction d the kernel's ground speed
+c_par + sqrt(v_bf^2 - c_perp^2) is then at most
+rho(d) = C_par + sqrt(R^2 - C_perp^2), the same formula with the disk's
+centre as the current and R as the speed, and each Euler step (the cut
+final step too) covers at most rho(d) times its time. So no edge of
+length L along d is flown faster than L / rho(d). That time is the gauge
+of K, which is convex and holds the origin when hypot(cx, cy) < R, so it
+obeys the triangle inequality: h(n) = L(n, goal) / rho(dir(n, goal)) is at
+most any edge's time plus h at its head, which is consistency. When the
+current may outrun the vehicle (hypot(cx, cy) >= R), or comes within 1% of
+R, h falls back to the isotropic L / (hypot(cx, cy) + R), which holds for
+every speed in K. h is shrunk by a relative 1e-12 so that rounding in the
+bound, the keys and the kernel's cut final step cannot make it
+inconsistent. That needs the rounding in rho, a few ulps of R, to stay
+well below 1e-12 of rho; rho >= R - hypot(cx, cy) >= R / 100 keeps it
+under 1e-13.
+
+Keys never decrease along a search and travel times are positive, so an
+edge into a settled head m can never arrive before arrival[m]; such edges
+are not flown at all. An edge into an unsettled head is flown with the
+float just above the head's tentative arrival as its deadline
+(cost.edge_cost's t_limit): a later arrival cannot improve the label, and
+one that ties it is flown to the end, for plan()'s tie rule. A step
+starts no later than the flight ends, so the tie's last step always
+starts before that deadline.
 
 The profiles are grouped into families once per search, for its env,
 vehicle and integration (cost.profile_families). Each costed edge flies
@@ -23,6 +50,14 @@ from dataclasses import dataclass
 
 from .cost import edge_cost, profile_families, solo_families
 from .errors import NoPathError, ParameterError
+from .ocean import current_disk
+
+# Relative shrink of the A* bound, against rounding (see the module doc).
+_H_SHRINK = 1.0 - 1e-12
+# The disk bound is used while the disk's centre is at most this share of
+# R from the origin, so its speed toward the goal is at least 1% of R
+# (see the module doc).
+_DISK_SPAN = 0.99
 
 
 @dataclass(frozen=True)
@@ -61,26 +96,72 @@ def _reconstruct(pred, start, goal, t0, arrival):
     return PathResult(legs, t0, arrival)
 
 
+def _time_to_goal_bound(g, env, veh):
+    """h(node): a consistent lower bound on the time any flight through
+    env takes from the node to the goal terminal (see the module doc),
+    shrunk by _H_SHRINK."""
+    cx, cy, r = current_disk(env)
+    R = veh.v_bf + r
+    R2 = R * R
+    c = math.hypot(cx, cy)
+    nodes = g.nodes
+    _, gx, gy = nodes[g.goal_id]
+    sqrt = math.sqrt
+    hypot = math.hypot
+
+    if c > _DISK_SPAN * R:
+        speed = c + R
+
+        def h(n):
+            _, x, y = nodes[n]
+            return _H_SHRINK * hypot(gx - x, gy - y) / speed
+
+        return h
+
+    def h(n):
+        _, x, y = nodes[n]
+        ex, ey = gx - x, gy - y
+        # the unit direction from components scaled to at most 1, so that
+        # an offset of subnormal size still gives one
+        scale = max(abs(ex), abs(ey))
+        if scale == 0.0:
+            return 0.0
+        ex1, ey1 = ex / scale, ey / scale
+        norm = hypot(ex1, ey1)
+        dx, dy = ex1 / norm, ey1 / norm
+        c_perp = cx * dy - cy * dx
+        rho = cx * dx + cy * dy + sqrt(R2 - c_perp * c_perp)
+        return _H_SHRINK * hypot(ex, ey) / rho
+
+    return h
+
+
 def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     """Least-arrival-time path from the start terminal to the goal terminal.
 
-    Ties in the queue break on (arrival time, node id); an equal-arrival
-    relaxation never replaces an existing predecessor. Each edge into an
-    unsettled node is flown once per profile family
-    (cost.profile_families, grouped once here), up to that node's
-    tentative arrival. Ties between profiles break on the lowest profile
-    index, so the result is the same as when every profile is flown alone.
+    A* with the bound h of _time_to_goal_bound: the queue is keyed on
+    (arrival + h(node), arrival, node id), so with h = 0 it pops in
+    Dijkstra's order, (arrival time, node id). Among tails that reach a
+    node at the same arrival, the one with the least (departure, tail id)
+    is its predecessor: the tail Dijkstra settles first, whose label it
+    keeps. That rule does not depend on the order in which A* settles the
+    tails, so the path is the one h = 0 gives. Each edge into an unsettled
+    node is flown once per profile family (cost.profile_families, grouped
+    once here), up to just past that node's tentative arrival. Ties
+    between profiles break on the lowest profile index, so the result is
+    the same as when every profile is flown alone.
     """
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
     families = profile_families(profiles, env, veh, integ)
+    h = _time_to_goal_bound(g, env, veh)
     arrival = {start: t0}
     pred = {}
     settled = set()
-    heap = [(t0, start)]
+    heap = [(t0 + h(start), t0, start)]
     while heap:
-        t, n = heapq.heappop(heap)
+        _key, t, n = heapq.heappop(heap)
         if n in settled:
             continue
         settled.add(n)
@@ -92,14 +173,16 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
                 continue
             tentative = arrival.get(m, math.inf)
             best_time, best_i = edge_cost(edge, t, families, evaluator,
-                                          tentative)
+                                          math.nextafter(tentative, math.inf))
             if best_time is None:
                 continue
             arr = t + best_time
             if arr < tentative:
                 arrival[m] = arr
                 pred[m] = (edge, t, best_time, best_i)
-                heapq.heappush(heap, (arr, m))
+                heapq.heappush(heap, (arr + h(m), arr, m))
+            elif arr == tentative and (t, n) < (pred[m][1], pred[m][0].frm):
+                pred[m] = (edge, t, best_time, best_i)
     raise NoPathError("goal terminal unreachable from start at t0=%g" % t0)
 
 

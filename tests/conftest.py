@@ -1,3 +1,4 @@
+import importlib.util
 import math
 from pathlib import Path
 
@@ -32,6 +33,26 @@ def integ():
 @pytest.fixture
 def example_mission():
     return str(EXAMPLE_MISSION)
+
+
+def all_edges(g):
+    """Every edge of g, tail by tail in node order, each tail's edges in
+    adjacency order."""
+    return [edge for out in g.adj for edge in out]
+
+
+def benchmark_missions(out_dir):
+    """The lattice-uniform missions of benchmark seed 0, as
+    perfbench/workloads.py writes them into out_dir: mission 0 is the
+    mission file itself, missions 1-3 turn the current by 1/4, 1/2 and 3/4
+    of a turn and shift t0 to match."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.write_missions(workloads.WORKLOADS["lattice-uniform"],
+                                    str(REPO_ROOT), 0, str(out_dir),
+                                    gp.parse_mission)
 
 
 def straight_edge(x0, y0, x1, y1, frm=0, to=1):

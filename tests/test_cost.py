@@ -437,6 +437,37 @@ class TestForkStep:
         turn = (110.0 - 0.0) / self.VEH.w_vert / self.INTEG.dt
         assert step >= math.floor(turn)
 
+    @pytest.mark.parametrize("dt", [0.003, 0.02, 0.08, 1.0])
+    def test_every_example_pair_as_a_scan_from_step_0(self, dt):
+        # _fork_step does not compute depths it knows to be equal; a scan
+        # that computes every step's depths finds the same step
+        z_flat = self.Z_FLAT
+        w_vert = self.VEH.w_vert
+        integ = gp.IntegrationParams(dt=dt)
+
+        def scan(a, b):
+            if (a.z_climb_to, a.z_dive_to) == (b.z_climb_to, b.z_dive_to) \
+                    or min(a.z_climb_to, b.z_climb_to) >= z_flat:
+                return None
+            bound = 2.0 * min(a.z_dive_to - a.z_climb_to,
+                              b.z_dive_to - b.z_climb_to) / w_vert
+            elapsed = 0.0
+            for k in range(integ.max_steps):
+                z_a = gp.sawtooth_depth(elapsed, a, w_vert)
+                z_b = gp.sawtooth_depth(elapsed, b, w_vert)
+                if (z_a != z_b and min(z_a, z_b) < z_flat
+                        or elapsed > bound):
+                    return k
+                elapsed += dt
+            return None
+
+        profiles = gp.generate_dive_profiles(
+            gp.DiveProfileParams(0.0, 200.0, 40.0, 50.0, 4, 6))
+        steps = [(gliderplan.cost._fork_step(a, b, z_flat, w_vert, integ),
+                  scan(a, b)) for a in profiles for b in profiles if a != b]
+        assert all(fast == slow for fast, slow in steps)
+        assert any(fast is not None for fast, _slow in steps)
+
 
 class TestFamilies:
     """Flying a family gives every member the time, bit for bit, that it

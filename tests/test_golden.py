@@ -11,14 +11,13 @@ fault in the planner.
 
 import dataclasses
 import hashlib
-import importlib.util
 
 import pytest
 
 from gliderplan.cli import run_plan, write_plan_outputs
 from gliderplan.mission import parse_mission
 from gliderplan.ocean import FlowEnvironment
-from conftest import EXAMPLE_MISSION, REPO_ROOT
+from conftest import EXAMPLE_MISSION, REPO_ROOT, benchmark_missions
 
 FILES = ("path.xml", "path.csv", "path_trace.csv", "graph_stats.csv")
 
@@ -74,7 +73,8 @@ LATTICE_TURNED_GOLDEN = {
 }
 
 # LATTICE_MISSION in other currents (ux, uy), None for still water. At
-# 0.6 the current outruns the vehicle (v_bf = 0.5).
+# 0.6 the current outruns the vehicle (v_bf = 0.5), so the search's
+# time-to-goal bound is the isotropic one (search._time_to_goal_bound).
 LATTICE_FLOW_GOLDEN = {
     (0.2, 0.0): (
         "7eb241832c6d148b983fca4534f8b7f4d809496010852ced9be2fc765ec6024f",
@@ -104,18 +104,6 @@ def cfg_digests(tmp_path, cfg, parallel=False):
 def digests(tmp_path, t0, parallel, mission=EXAMPLE_MISSION):
     cfg = dataclasses.replace(parse_mission(str(mission)), t0=t0)
     return cfg_digests(tmp_path, cfg, parallel)
-
-
-def benchmark_missions(tmp_path):
-    """The lattice-uniform missions of benchmark seed 0, written by
-    perfbench/workloads.py."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", REPO_ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads.write_missions(workloads.WORKLOADS["lattice-uniform"],
-                                    str(REPO_ROOT), 0, str(tmp_path),
-                                    parse_mission)
 
 
 @pytest.mark.parametrize("t0", sorted(GOLDEN))

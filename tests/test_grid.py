@@ -3,7 +3,7 @@ import math
 import pytest
 
 import gliderplan as gp
-from conftest import straight_edge
+from conftest import all_edges, straight_edge
 from gliderplan.grid import degree_histogram, graph_stats_rows
 
 
@@ -52,7 +52,7 @@ class TestBuildGrid:
     def test_edge_geometry(self):
         spec = gp.GridSpec(0, 4, 0, 4, 0.4, 3)
         g = gp.build_grid(spec)
-        for e in g.edges():
+        for e in all_edges(g):
             assert e.frm != e.to
             assert e.length > 0
             assert math.hypot(e.dx, e.dy) == pytest.approx(1.0, abs=1e-12)
@@ -63,7 +63,7 @@ class TestBuildGrid:
 
     def test_adjacency_symmetric(self):
         g = gp.build_grid(gp.GridSpec(0, 2, 0, 2, 0.5, 2))
-        pairs = {(e.frm, e.to) for e in g.edges()}
+        pairs = {(e.frm, e.to) for e in all_edges(g)}
         assert all((b, a) in pairs for a, b in pairs)
         assert len(pairs) == g.n_edges()  # no duplicates
 

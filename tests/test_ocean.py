@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
 from gliderplan.ocean import (MODE_FULL, MODE_JET, MODE_STILL, MODE_SURFACE,
-                              MODE_UNIFORM, MODES, depth_independent_below)
+                              MODE_UNIFORM, MODES, current_disk,
+                              depth_independent_below)
 
 
 def fd_velocity(x, y, t, jet, h=1e-5):
@@ -312,6 +313,56 @@ class TestBoundField:
         assert copy == env
         assert gp.velocity(0.3, 0.2, 1.0, 0.5, copy) == gp.velocity(
             0.3, 0.2, 1.0, 0.5, env)
+
+
+class TestCurrentDisk:
+    """Every sample of the field lies in current_disk(env), the disk the
+    search's time-to-goal bound is made from."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mode=st.sampled_from(MODES), jet=JETS, surface=SURFACES,
+           ux=st.floats(-1.0, 1.0), uy=st.floats(-1.0, 1.0),
+           x=st.floats(-20.0, 20.0), t=st.floats(-50.0, 50.0),
+           frac=DEPTH_FRACTIONS,
+           # y off the jet's centerline, in units of its width 1 / d
+           off=st.one_of(st.floats(-3.0, 3.0), st.floats(-0.9, -0.6),
+                         st.floats(0.6, 0.9)))
+    def test_every_sample_inside(self, mode, jet, surface, ux, uy, x, t,
+                                 frac, off):
+        env = gp.FlowEnvironment(jet, surface, mode, ux, uy)
+        a = jet.k * (x - jet.c * t)
+        B = gp.meander_amplitude(t, jet)
+        y = B * math.cos(a) + off * math.sqrt(
+            1.0 + (jet.k * B * math.sin(a)) ** 2)
+        u, v = gp.velocity(x, y, frac * surface.z_decay, t, env)
+        cx, cy, r = current_disk(env)
+        assert math.hypot(u - cx, v - cy) <= r
+
+    def test_disks(self):
+        jet = gp.JetParams(B0=1.0, epsilon=0.5, k=2.0)
+        surface = gp.SurfaceCurrentParams(W0=-0.3)
+        vb = 1.0 + 0.2239 * 4.0 * 1.5
+        assert current_disk(gp.FlowEnvironment.still()) == (0.0, 0.0, 0.0)
+        assert current_disk(gp.FlowEnvironment.uniform(0.2, -0.1)) == (
+            0.2, -0.1, 0.0)
+        for mode, disk in ((MODE_SURFACE, (0.0, 0.0, 0.3)),
+                           (MODE_JET, (0.5, 0.0, math.hypot(0.5, vb))),
+                           (MODE_FULL, (0.5, 0.0, math.hypot(0.8, vb)))):
+            env = gp.FlowEnvironment(jet, surface, mode)
+            assert current_disk(env) == pytest.approx(disk, rel=1e-15)
+
+    def test_jet_v_bound_is_not_loose(self):
+        # |v| <= vb = 1 + 0.2239 k^2 (B0 + epsilon) comes within 11% of a
+        # sample: where k B sin(a) = 1 and q = n / d = -0.7717, the two
+        # terms of v add, and the second is near its bound
+        jet = gp.JetParams(B0=20.0, epsilon=0.0, k=1.0, c=0.0)
+        env = gp.FlowEnvironment(jet=jet, mode=MODE_JET)
+        a = math.asin(1.0 / 20.0)
+        y = 20.0 * math.cos(a) - 0.7717 * math.sqrt(2.0)
+        vb = 1.0 + 0.2239 * 20.0
+        _cx, _cy, r = current_disk(env)
+        assert r == math.hypot(0.5, vb)
+        assert 0.89 * vb < abs(gp.velocity(a, y, 0.0, 0.0, env).v) <= vb
 
 
 class TestParamValidation:

@@ -2,10 +2,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
 import gliderplan.search
-from conftest import EXAMPLE_MISSION
+from gliderplan.ocean import MODES
+from conftest import EXAMPLE_MISSION, all_edges, benchmark_missions
 
 
 def make_instance(seed):
@@ -53,7 +55,7 @@ def recording(evaluator, calls):
 def fifo_holds(g, t0, profiles, env, veh, integ, n_edges=12, n_times=4):
     """Sampled FIFO check: later departures never arrive earlier."""
     families = gp.solo_families(profiles, env, veh, integ)
-    for edge in list(g.edges())[::7][:n_edges]:
+    for edge in all_edges(g)[::7][:n_edges]:
         last = None
         for i in range(n_times):
             t = t0 + i * 0.8
@@ -276,3 +278,141 @@ class TestOptimalityOracle:
                 assert a.legs == b.legs
             checked += 1
         assert checked >= 10
+
+
+def plan_without_bound(*args):
+    """plan() with h = 0, which is Dijkstra: the current disk is made
+    infinitely wide, so the time-to-goal bound is 0 everywhere."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gliderplan.search, "current_disk",
+                   lambda env: (0.0, 0.0, math.inf))
+        return gp.plan(*args)
+
+
+def outcome(plan_fn, inst):
+    """repr of the PathResult, or the NoPathError."""
+    try:
+        return repr(plan_fn(*inst))
+    except gp.NoPathError as exc:
+        return repr(exc)
+
+
+@st.composite
+def small_missions(draw):
+    """A planning instance on a lattice of at most 9 x 7 nodes, in any flow
+    mode, currents faster than the vehicle included. Terminals are often
+    on lattice points, and the lattice sides often commensurate, which
+    makes arrival ties between routes likely."""
+    h = draw(st.sampled_from([0.2, 0.25, 0.4, 0.5]))
+    spec = gp.GridSpec(0.0, draw(st.sampled_from([0.8, 1.2, 1.6])), 0.0,
+                       draw(st.sampled_from([0.8, 1.2])), h,
+                       draw(st.integers(1, 3)))
+    nx, ny = spec.shape
+
+    def coordinate(n, top):
+        return draw(st.one_of(st.floats(0.0, top),
+                              st.integers(0, n - 1).map(
+                                  lambda i: min(i * h, top))))
+
+    g = gp.build_grid(spec)
+    for role in ("start", "goal"):
+        gp.insert_terminal(g, coordinate(nx, spec.x_max),
+                           coordinate(ny, spec.y_max), role)
+    jet = gp.JetParams(B0=draw(st.floats(0.1, 2.0)),
+                       epsilon=draw(st.floats(0.0, 1.0)),
+                       omega=draw(st.floats(-1.0, 1.0)),
+                       k=draw(st.floats(0.1, 2.0)),
+                       c=draw(st.floats(-1.0, 1.0)))
+    surface = gp.SurfaceCurrentParams(W0=draw(st.floats(-1.0, 1.0)),
+                                      d=draw(st.floats(-3.0, 3.0)),
+                                      z_decay=draw(st.floats(5.0, 60.0)))
+    env = gp.FlowEnvironment(jet, surface, draw(st.sampled_from(MODES)),
+                             draw(st.floats(-0.8, 0.8)),
+                             draw(st.floats(-0.8, 0.8)))
+    profiles = gp.generate_dive_profiles(gp.DiveProfileParams(
+        0.0, 200.0, 40.0, 50.0, draw(st.integers(1, 3)),
+        draw(st.integers(1, 3))))
+    veh = gp.VehicleParams(v_bf=draw(st.one_of(st.just(0.5),
+                                               st.floats(0.2, 1.5))),
+                           w_vert=draw(st.floats(50.0, 200.0)))
+    integ = gp.IntegrationParams(
+        dt=draw(st.sampled_from([0.02, 0.05, 0.1, 0.25, 1.0])))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    return g, t0, profiles, env, veh, integ
+
+
+def parallelogram_instance():
+    """Still water on a hand-built graph where two routes tie exactly at
+    node 3: 0 -> 1 -> 3 flies edges of times 1 and 2, 0 -> 2 -> 3 flies
+    the same times the other way round. A* settles node 2 first (its
+    bound to the goal at node 4 is the smaller), Dijkstra node 1 (it is
+    reached first)."""
+    g = gp.Graph(gp.GridSpec(0.0, 0.5, 0.0, 1.5, 0.5, 1))
+    for x, y in ((0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1.0), (0.5, 1.5)):
+        g.add_node(x, y)
+    for a, b in ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)):
+        g.adj[a].append(g.edge(a, b))
+    g.start_id, g.goal_id = 0, 4
+    return (g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
+            gp.FlowEnvironment.still(), gp.VehicleParams(),
+            gp.IntegrationParams(dt=0.1))
+
+
+class TestAStar:
+    """plan() is A* with a consistent time-to-goal bound; it finds the
+    path that Dijkstra (the same search with h = 0) finds."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=small_missions())
+    def test_plan_equals_plan_with_h_zero(self, inst):
+        assert outcome(gp.plan, inst) == outcome(plan_without_bound, inst)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=small_missions())
+    def test_bound_is_consistent(self, inst):
+        g, t0, profiles, env, veh, integ = inst
+        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        assert h(g.goal_id) == 0.0
+        families = gp.profile_families(profiles, env, veh, integ)
+        for edge in all_edges(g):
+            res = gp.edge_cost(edge, t0, families)
+            if res.best_time is not None:
+                assert h(edge.frm) <= res.best_time + h(edge.to)
+
+    def test_uniform_bound_is_the_straight_line_time(self, veh, integ):
+        g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))
+        gp.insert_terminal(g, 0.0, 0.0, "start")
+        gp.insert_terminal(g, 1.0, 1.0, "goal")
+        env = gp.FlowEnvironment.uniform(0.3, 0.0)
+        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        # along the diagonal the current gives 0.3 / sqrt(2) along track
+        # and as much across it
+        c = 0.3 / math.sqrt(2.0)
+        speed = c + math.sqrt(veh.v_bf ** 2 - c * c)
+        assert h(g.start_id) == pytest.approx(math.sqrt(2.0) / speed,
+                                              rel=1e-11)
+        assert h(g.start_id) < math.sqrt(2.0) / speed
+
+    def test_tied_routes_keep_the_dijkstra_predecessor(self):
+        inst = parallelogram_instance()
+        res = gp.plan(*inst)
+        assert res == plan_without_bound(*inst)
+        assert res.node_sequence() == [0, 1, 3, 4]
+        assert res.legs[1].departure + res.legs[1].travel_time == (
+            res.legs[0].travel_time + res.legs[1].travel_time)
+
+    def test_lattice_costs_under_a_tenth_of_the_edges(self, tmp_path):
+        # the benchmark's lattice-uniform missions, the current turned by
+        # 0, 1/4, 1/2 and 3/4 of a turn
+        for mission in benchmark_missions(tmp_path):
+            cfg = gp.parse_mission(mission)
+            g = gp.build_grid(cfg.grid)
+            gp.insert_terminal(g, *cfg.start, "start")
+            gp.insert_terminal(g, *cfg.goal, "goal")
+            inst = (g, cfg.t0, gp.generate_dive_profiles(cfg.profile_params),
+                    cfg.env, cfg.vehicle, cfg.integration)
+            a_star, dijkstra = [], []
+            res = gp.plan(*inst, recording(gp.serial_evaluator, a_star))
+            assert res == plan_without_bound(
+                *inst, recording(gp.serial_evaluator, dijkstra))
+            assert len(a_star) < 0.1 * len(dijkstra)
