@@ -149,8 +149,9 @@ def _fork_step(trunk, member, z_flat, w_vert, integ):
     climbs above z_flat, so both sample the same field at every step.
 
     Depths come from _depth at the kernel's own elapsed sequence
-    (elapsed += dt), so the step is exact. Profiles with one climb depth
-    (every pair profile_families asks about) descend from it side by side,
+    (elapsed += dt), so the step is exact. trunk and member share a climb
+    depth unless neither climbs above z_flat, as in every pair
+    profile_families asks about, so they descend from it side by side,
     z_climb + w_vert * elapsed, until the shallower dive turns: up to
     there the depths are equal bit for bit and are not computed. The scan
     is bounded: it stops at the first step past the shorter sawtooth
@@ -162,7 +163,7 @@ def _fork_step(trunk, member, z_flat, w_vert, integ):
     b = _sawtooth(member, w_vert)
     if a[:2] == b[:2] or min(a[0], b[0]) >= z_flat:
         return None
-    side_by_side = min(a[2], b[2]) if a[0] == b[0] else -1.0
+    side_by_side = min(a[2], b[2])
     bound = min(a[3], b[3])
     dt = integ.dt
     elapsed = 0.0

@@ -7,6 +7,7 @@ terminals are inserted off-lattice and linked to nearby grid nodes.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from math import hypot
 from typing import NamedTuple
@@ -65,6 +66,10 @@ class Edge(NamedTuple):
     dy: float
 
 
+# Graph.edge refuses edges shorter than this, the smallest normal float
+# (see there).
+MIN_EDGE_LENGTH = sys.float_info.min
+
 # Builds an Edge from a field tuple, skipping the named tuple's generated
 # Python __new__ (as ocean._sample does for FlowSample).
 _edge = tuple.__new__
@@ -90,14 +95,17 @@ class Graph:
         """The edge a -> b from the node coordinates; the one formula every
         edge of the graph is built with, so it rebuilds any of them
         exactly. The edge holds its nodes' own id objects, which saves an
-        int object per lattice edge."""
+        int object per lattice edge. An edge shorter than the smallest
+        normal float is refused: below it hypot loses the precision that
+        makes (dx, dy) a unit vector."""
         a, ax, ay = self.nodes[a]
         b, bx, by = self.nodes[b]
         ex, ey = bx - ax, by - ay
         length = hypot(ex, ey)
-        if length == 0.0:
-            raise ParameterError("zero-length edge %d -> %d at (%g, %g)"
-                                 % (a, b, ax, ay))
+        if length < MIN_EDGE_LENGTH:
+            what = "zero-length" if length == 0.0 else "subnormal-length"
+            raise ParameterError("%s edge %d -> %d at (%g, %g)"
+                                 % (what, a, b, ax, ay))
         return _edge(Edge, (a, b, ax, ay, length, ex / length, ey / length))
 
     def n_edges(self):

@@ -20,14 +20,18 @@ final step too) covers at most rho(d) times its time. So no edge of
 length L along d is flown faster than L / rho(d). That time is the gauge
 of K, which is convex and holds the origin when hypot(cx, cy) < R, so it
 obeys the triangle inequality: h(n) = L(n, goal) / rho(dir(n, goal)) is at
-most any edge's time plus h at its head, which is consistency. When the
+most any edge's time plus h at its head, which is consistency. h is shrunk
+by a relative 1e-12 so that rounding in the bound, the keys and the
+kernel's cut final step cannot make it inconsistent. That needs the
+rounding in rho, a few ulps of R, to stay well below 1e-12 of rho;
+rho >= R - hypot(cx, cy) >= R / 100 keeps it under 1e-13. So when the
 current may outrun the vehicle (hypot(cx, cy) >= R), or comes within 1% of
-R, h falls back to the isotropic L / (hypot(cx, cy) + R), which holds for
-every speed in K. h is shrunk by a relative 1e-12 so that rounding in the
-bound, the keys and the kernel's cut final step cannot make it
-inconsistent. That needs the rounding in rho, a few ulps of R, to stay
-well below 1e-12 of rho; rho >= R - hypot(cx, cy) >= R / 100 keeps it
-under 1e-13.
+R, h is 0 and the search is Dijkstra. The direction to the goal is
+L's components over L, a unit vector to an ulp wherever L is at least the
+smallest normal float (grid.MIN_EDGE_LENGTH), the shortest edge
+Graph.edge makes. h is 0 closer
+than that: at the goal's own position, and at a start that close to it,
+whose key orders nothing.
 
 Keys never decrease along a search and travel times are positive, so an
 edge into a settled head m can never arrive before arrival[m]; such edges
@@ -50,13 +54,14 @@ from dataclasses import dataclass
 
 from .cost import edge_cost, profile_families, solo_families
 from .errors import NoPathError, ParameterError
+from .grid import MIN_EDGE_LENGTH
 from .ocean import current_disk
 
 # Relative shrink of the A* bound, against rounding (see the module doc).
 _H_SHRINK = 1.0 - 1e-12
 # The disk bound is used while the disk's centre is at most this share of
 # R from the origin, so its speed toward the goal is at least 1% of R
-# (see the module doc).
+# (see the module doc); h is 0 beyond it.
 _DISK_SPAN = 0.99
 
 
@@ -110,28 +115,18 @@ def _time_to_goal_bound(g, env, veh):
     hypot = math.hypot
 
     if c > _DISK_SPAN * R:
-        speed = c + R
-
-        def h(n):
-            _, x, y = nodes[n]
-            return _H_SHRINK * hypot(gx - x, gy - y) / speed
-
-        return h
+        return lambda n: 0.0
 
     def h(n):
         _, x, y = nodes[n]
         ex, ey = gx - x, gy - y
-        # the unit direction from components scaled to at most 1, so that
-        # an offset of subnormal size still gives one
-        scale = max(abs(ex), abs(ey))
-        if scale == 0.0:
+        length = hypot(ex, ey)
+        if length < MIN_EDGE_LENGTH:
             return 0.0
-        ex1, ey1 = ex / scale, ey / scale
-        norm = hypot(ex1, ey1)
-        dx, dy = ex1 / norm, ey1 / norm
+        dx, dy = ex / length, ey / length
         c_perp = cx * dy - cy * dx
         rho = cx * dx + cy * dy + sqrt(R2 - c_perp * c_perp)
-        return _H_SHRINK * hypot(ex, ey) / rho
+        return _H_SHRINK * length / rho
 
     return h
 

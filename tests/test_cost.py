@@ -440,7 +440,9 @@ class TestForkStep:
     @pytest.mark.parametrize("dt", [0.003, 0.02, 0.08, 1.0])
     def test_every_example_pair_as_a_scan_from_step_0(self, dt):
         # _fork_step does not compute depths it knows to be equal; a scan
-        # that computes every step's depths finds the same step
+        # that computes every step's depths finds the same step for every
+        # pair profile_families asks about: one climb depth, or neither
+        # climbing above z_flat
         z_flat = self.Z_FLAT
         w_vert = self.VEH.w_vert
         integ = gp.IntegrationParams(dt=dt)
@@ -464,7 +466,9 @@ class TestForkStep:
         profiles = gp.generate_dive_profiles(
             gp.DiveProfileParams(0.0, 200.0, 40.0, 50.0, 4, 6))
         steps = [(gliderplan.cost._fork_step(a, b, z_flat, w_vert, integ),
-                  scan(a, b)) for a in profiles for b in profiles if a != b]
+                  scan(a, b)) for a in profiles for b in profiles
+                 if a != b and (a.z_climb_to == b.z_climb_to
+                                or min(a.z_climb_to, b.z_climb_to) >= z_flat)]
         assert all(fast == slow for fast, slow in steps)
         assert any(fast is not None for fast, _slow in steps)
 

@@ -74,7 +74,7 @@ LATTICE_TURNED_GOLDEN = {
 
 # LATTICE_MISSION in other currents (ux, uy), None for still water. At
 # 0.6 the current outruns the vehicle (v_bf = 0.5), so the search's
-# time-to-goal bound is the isotropic one (search._time_to_goal_bound).
+# time-to-goal bound is 0 (search._time_to_goal_bound).
 LATTICE_FLOW_GOLDEN = {
     (0.2, 0.0): (
         "7eb241832c6d148b983fca4534f8b7f4d809496010852ced9be2fc765ec6024f",

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -177,6 +178,22 @@ class TestZeroLengthEdge:
         with pytest.raises(gp.ParameterError,
                            match=r"^zero-length edge 0 -> 1 at \(1e\+17, 0\)$"):
             gp.build_grid(spec)
+
+    def test_subnormal_length_rejected(self):
+        # hypot of two subnormal components rounds to the larger one, so
+        # the direction would be (-1, -1)
+        g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))
+        with pytest.raises(gp.ParameterError,
+                           match=r"^subnormal-length edge 9 -> 0 at "):
+            gp.insert_terminal(g, 5e-324, 5e-324, "start")
+
+    def test_smallest_normal_length_has_a_unit_direction(self):
+        g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))
+        tiny = sys.float_info.min
+        tid = gp.insert_terminal(g, tiny, tiny, "start")
+        edge = g.adj[tid][0]
+        assert edge.to == 0 and edge.length > 0.0
+        assert math.hypot(edge.dx, edge.dy) == pytest.approx(1.0, abs=1e-15)
 
 
 NODE_FIELDS = ("id", "x", "y")
