@@ -13,8 +13,8 @@ from .grid import (Edge, Graph, GridSpec, Node, build_grid, coprime_offsets,
 from .mission import (MissionConfig, parse_mission, read_path_xml,
                       write_path_xml)
 from .ocean import (FlowEnvironment, FlowSample, JetParams,
-                    SurfaceCurrentParams, jet_velocity, meander_amplitude,
-                    stream_function, surface_term, velocity)
+                    SurfaceCurrentParams, meander_amplitude, stream_function,
+                    velocity)
 from .profiles import DiveProfile, DiveProfileParams, generate_dive_profiles
 from .search import Leg, PathResult, brute_force_plan, plan
 

@@ -4,6 +4,11 @@ Nodes sit on a regular lattice; each node connects to every neighbor at a
 coprime lattice offset with Chebyshev radius <= sector_order, giving a
 distinct edge heading per ring (32 directions for order 3). Start/goal
 terminals are inserted off-lattice and linked to nearby grid nodes.
+
+The graph stores no edges. A node's out-neighbours follow from the offset
+table and the box (Graph.heads), and Graph.edge, the one edge formula,
+makes an edge from its two nodes when a reader wants it: the search makes
+only the edges it flies.
 """
 
 import math
@@ -43,9 +48,9 @@ class GridSpec:
                                   self.y_max - self.y_min))
 
 
-# One Edge is made per lattice edge (125,262 on the benchmark lattice); as
-# named tuples Node and Edge cost a fraction of a frozen dataclass to build
-# and to hold. An Edge holds only what a flight and the search read.
+# An Edge is made for every flight of a search; as named tuples Node and
+# Edge cost a fraction of a frozen dataclass to build and to hold. An Edge
+# holds only what a flight and the search read.
 class Node(NamedTuple):
     id: int
     x: float
@@ -76,28 +81,49 @@ _edge = tuple.__new__
 
 
 class Graph:
-    """Immutable after construction except for terminal insertion."""
+    """The lattice nodes of a spec and the terminals insert_terminal adds.
+
+    A graph stores no edges: only its nodes, the offset table and links,
+    each node's list of terminals it is linked to. heads(a) lists a's
+    out-neighbours, and edge(a, b) makes an edge when it is wanted.
+    Immutable after construction except for terminal insertion."""
 
     def __init__(self, spec):
         self.spec = spec
+        self.shape = spec.shape
         self.nodes = []
-        self.adj = []
+        self.offsets = coprime_offsets(spec.sector_order)
+        self.links = {}
         self.start_id = None
         self.goal_id = None
 
-    def add_node(self, x, y):
-        node = Node(len(self.nodes), x, y)
-        self.nodes.append(node)
-        self.adj.append([])
-        return node.id
+    def heads(self, a):
+        """a's out-neighbours: for a lattice node, its neighbours at the
+        table's offsets that lie in the box, in table order; then the
+        terminals it is linked to, in insertion order."""
+        nx, ny = self.shape
+        out = []
+        if a < nx * ny:
+            j, i = divmod(a, nx)
+            for di, dj in self.offsets:
+                ii, jj = i + di, j + dj
+                if 0 <= ii < nx and 0 <= jj < ny:
+                    out.append(jj * nx + ii)
+        out += self.links.get(a, ())
+        return out
+
+    @property
+    def adj(self):
+        """Read-only view of every node's out-edges (see _OutEdges)."""
+        return _OutEdges(self)
 
     def edge(self, a, b):
         """The edge a -> b from the node coordinates; the one formula every
-        edge of the graph is built with, so it rebuilds any of them
-        exactly. The edge holds its nodes' own id objects, which saves an
-        int object per lattice edge. An edge shorter than the smallest
-        normal float is refused: below it hypot loses the precision that
-        makes (dx, dy) a unit vector."""
+        edge of the graph is made with, so it makes any of them the same
+        each time, bit for bit. The edge holds its nodes' own id objects,
+        which saves an int object per edge. An edge shorter than the
+        smallest normal float is refused: below it hypot loses the
+        precision that makes (dx, dy) a unit vector."""
         a, ax, ay = self.nodes[a]
         b, bx, by = self.nodes[b]
         ex, ey = bx - ax, by - ay
@@ -109,41 +135,51 @@ class Graph:
         return _edge(Edge, (a, b, ax, ay, length, ex / length, ey / length))
 
     def n_edges(self):
-        return sum(len(lst) for lst in self.adj)
+        return sum(len(self.heads(a)) for a in range(len(self.nodes)))
+
+
+class _OutEdges:
+    """g.adj: view[a] is a list of a's out-edges, made with Graph.edge in
+    heads order each time it is read. Ids past the last node raise
+    IndexError, so the view iterates node by node."""
+
+    def __init__(self, g):
+        self._g = g
+
+    def __len__(self):
+        return len(self._g.nodes)
+
+    def __getitem__(self, a):
+        a = self._g.nodes[a].id
+        return [self._g.edge(a, b) for b in self._g.heads(a)]
 
 
 def coprime_offsets(s):
     """Lattice offsets (di, dj) with Chebyshev radius <= s and
-    gcd(|di|, |dj|) = 1, in lexicographic order."""
-    out = []
-    for di in range(-s, s + 1):
-        for dj in range(-s, s + 1):
-            if (di, dj) == (0, 0):
-                continue
-            if math.gcd(abs(di), abs(dj)) != 1:
-                continue
-            out.append((di, dj))
-    return out
+    gcd(|di|, |dj|) = 1, in lexicographic order; gcd(0, 0) = 0 leaves out
+    (0, 0)."""
+    r = range(-s, s + 1)
+    return [(di, dj) for di in r for dj in r if math.gcd(di, dj) == 1]
 
 
 def build_grid(spec):
-    """Grid graph over the bounding box; node ids row-major from
-    (x_min, y_min), edge lists ordered by the offset table."""
+    """Lattice graph over the bounding box; node ids row-major from
+    (x_min, y_min).
+
+    A box whose lattice points collapse onto one another is refused.
+    x_min + i * h never decreases as i grows, nor y_min + j * h as j
+    grows, so every lattice edge is at least as long as a unit edge of the
+    first row or column along an axis it moves on. Making those
+    nx - 1 + ny - 1 edges with Graph.edge refuses every edge it would."""
     g = Graph(spec)
-    nx, ny = spec.shape
-    for j in range(ny):
-        for i in range(nx):
-            g.add_node(spec.x_min + i * spec.h, spec.y_min + j * spec.h)
-    offsets = coprime_offsets(spec.sector_order)
-    edge = g.edge
-    for j in range(ny):
-        for i in range(nx):
-            a = j * nx + i
-            out = g.adj[a]
-            for di, dj in offsets:
-                ii, jj = i + di, j + dj
-                if 0 <= ii < nx and 0 <= jj < ny:
-                    out.append(edge(a, jj * nx + ii))
+    nx, ny = g.shape
+    g.nodes = [Node(j * nx + i, spec.x_min + i * spec.h,
+                    spec.y_min + j * spec.h)
+               for j in range(ny) for i in range(nx)]
+    for i in range(nx - 1):
+        g.edge(i, i + 1)
+    for j in range(ny - 1):
+        g.edge(j * nx, (j + 1) * nx)
     return g
 
 
@@ -156,19 +192,20 @@ def insert_terminal(g, x, y, role):
         raise ParameterError("terminal (%g, %g) outside the bounding box" % (x, y))
     if role not in ("start", "goal"):
         raise ParameterError("terminal role must be 'start' or 'goal'")
-    n_grid = math.prod(spec.shape)
     radius = spec.sector_order * spec.h
-    tid = g.add_node(x, y)
-    linked = 0
-    for node in g.nodes[:n_grid]:
-        dist = math.hypot(node.x - x, node.y - y)
-        if dist == 0.0 or dist > radius:
-            continue
-        g.adj[tid].append(g.edge(tid, node.id))
-        g.adj[node.id].append(g.edge(node.id, tid))
-        linked += 1
-    if linked == 0:
+    near = [node.id for node in g.nodes[:math.prod(g.shape)]
+            if 0.0 < math.hypot(node.x - x, node.y - y) <= radius]
+    if not near:
         raise ParameterError("no grid node within radius of terminal (%g, %g)" % (x, y))
+    tid = len(g.nodes)
+    g.nodes.append(Node(tid, x, y))
+    # a link and its reverse have the same length, so one edge checks both;
+    # all are checked before any is linked
+    for b in near:
+        g.edge(tid, b)
+    for b in near:
+        g.links.setdefault(b, []).append(tid)
+    g.links[tid] = near
     if role == "start":
         g.start_id = tid
     else:
@@ -178,14 +215,16 @@ def insert_terminal(g, x, y, role):
 
 def degree_histogram(g):
     hist = {}
-    for lst in g.adj:
-        hist[len(lst)] = hist.get(len(lst), 0) + 1
+    for a in range(len(g.nodes)):
+        deg = len(g.heads(a))
+        hist[deg] = hist.get(deg, 0) + 1
     return dict(sorted(hist.items()))
 
 
 def graph_stats_rows(g):
-    """CSV-ready (key, value) statistics rows."""
-    rows = [("nodes", len(g.nodes)), ("edges", g.n_edges())]
-    for deg, count in degree_histogram(g).items():
-        rows.append(("degree_%d" % deg, count))
-    return rows
+    """CSV-ready (key, value) statistics rows, from one pass over the
+    nodes' heads."""
+    hist = degree_histogram(g)
+    rows = [("nodes", len(g.nodes)),
+            ("edges", sum(deg * count for deg, count in hist.items()))]
+    return rows + [("degree_%d" % deg, count) for deg, count in hist.items()]

@@ -11,8 +11,8 @@ surface constants read once. velocity() checks the depth and calls it, so
 an integrator step pays neither a mode dispatch nor parameter reads.
 
 The jet velocity is written once, in _jet_field, and the surface term
-once, in _surface_field; jet_velocity and surface_term evaluate through
-them. meander_amplitude's expression is repeated inline in _jet_field,
+once, in _surface_field; velocity() in jet or surface mode gives either
+alone. meander_amplitude's expression is repeated inline in _jet_field,
 and the tests pin the two bit for bit. The closures keep the formulas'
 float expressions: only k * k, k ** 3 and d * omega, each the first
 operation of its product, are computed ahead. So every sample is
@@ -217,27 +217,12 @@ def _bind(env):
     return uv
 
 
-def jet_velocity(x, y, t, jet):
-    """Horizontal jet velocity (u, v) at (x, y, t)."""
-    return _jet_field(jet, _no_surface)(x, y, 0.0, t)
-
-
-def surface_term(z, t, surf, omega):
-    """Wind-driven u contribution at depth z (m); zero below z_decay.
-
-    The v contribution is identically zero.
-    """
-    if z < 0:
-        raise ParameterError("depth z must be >= 0")
-    return _surface_field(surf, omega)(z, t)
-
-
 def depth_independent_below(env):
     """The depth (m) at and below which env's field does not vary with
     depth.
 
-    The surface term is the only depth-dependent part, and surface_term
-    is exactly 0.0 at z >= z_decay; the other modes ignore depth.
+    The surface term is the only depth-dependent part, and it is exactly
+    0.0 at z >= z_decay; the other modes ignore depth.
     """
     if env.mode in (MODE_FULL, MODE_SURFACE):
         return env.surface.z_decay

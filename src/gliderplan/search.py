@@ -33,14 +33,18 @@ Graph.edge makes. h is 0 closer
 than that: at the goal's own position, and at a start that close to it,
 whose key orders nothing.
 
-Keys never decrease along a search and travel times are positive, so an
-edge into a settled head m can never arrive before arrival[m]; such edges
-are not flown at all. An edge into an unsettled head is flown with the
-float just above the head's tentative arrival as its deadline
-(cost.edge_cost's t_limit): a later arrival cannot improve the label, and
-one that ties it is flown to the end, for plan()'s tie rule. A step
-starts no later than the flight ends, so the tie's last step always
-starts before that deadline.
+The graph stores no edges: a settled node's out-neighbours come from
+Graph.heads, and Graph.edge makes an edge only for a flight. Three cuts
+keep flights that cannot improve a label from being flown. Keys never
+decrease along a search and travel times are positive, so an edge into a
+settled head m can never arrive before arrival[m]; nor can an edge into a
+head already reached before the departure (arrival[m] < t). Neither edge
+is made. Any other edge is flown with the float just above the head's
+tentative arrival as its deadline (cost.edge_cost's t_limit): a later
+arrival cannot improve the label, and one that ties it is flown to the
+end, for plan()'s tie rule. A step starts no later than the flight ends,
+so the tie's last step always starts before that deadline, and every
+flight starts before its deadline.
 
 The profiles are grouped into families once per search, for its env,
 vehicle and integration (cost.profile_families). Each costed edge flies
@@ -140,9 +144,10 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     node at the same arrival, the one with the least (departure, tail id)
     is its predecessor: the tail Dijkstra settles first, whose label it
     keeps. That rule does not depend on the order in which A* settles the
-    tails, so the path is the one h = 0 gives. Each edge into an unsettled
-    node is flown once per profile family (cost.profile_families, grouped
-    once here), up to just past that node's tentative arrival. Ties
+    tails, so the path is the one h = 0 gives. Each edge into a node that
+    is neither settled nor reached before the departure is made with
+    Graph.edge and flown once per profile family (cost.profile_families,
+    grouped once here), up to just past that node's tentative arrival. Ties
     between profiles break on the lowest profile index, so the result is
     the same as when every profile is flown alone.
     """
@@ -162,11 +167,11 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
         settled.add(n)
         if n == goal:
             return _reconstruct(pred, start, goal, t0, t)
-        for edge in g.adj[n]:
-            m = edge.to
-            if m in settled:
-                continue
+        for m in g.heads(n):
             tentative = arrival.get(m, math.inf)
+            if tentative < t or m in settled:
+                continue
+            edge = g.edge(n, m)
             best_time, best_i = edge_cost(edge, t, families, evaluator,
                                           math.nextafter(tentative, math.inf))
             if best_time is None:

@@ -8,6 +8,7 @@ import gliderplan as gp
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_MISSION = REPO_ROOT / "missions" / "example.xml"
+LATTICE_MISSION = REPO_ROOT / "perfbench" / "missions" / "lattice-uniform.xml"
 
 
 @pytest.fixture
@@ -33,6 +34,18 @@ def integ():
 @pytest.fixture
 def example_mission():
     return str(EXAMPLE_MISSION)
+
+
+def explicit_graph(spec, points, heads, start, goal):
+    """A Graph whose nodes are points, ids in order, whose out-neighbours
+    are heads[a] (none where a is not a key) in place of its lattice's,
+    and whose start and goal terminals are the given ids. Its edges are
+    made with Graph.edge, as on any graph."""
+    g = gp.Graph(spec)
+    g.nodes = [gp.Node(i, x, y) for i, (x, y) in enumerate(points)]
+    g.heads = lambda a: heads.get(a, [])
+    g.start_id, g.goal_id = start, goal
+    return g
 
 
 def all_edges(g):

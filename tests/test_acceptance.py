@@ -89,6 +89,7 @@ def test_criterion_3_speedup_step_structure():
 def test_criterion_4_flow_model_numerics():
     jet = gp.JetParams()
     env = gp.FlowEnvironment()
+    jet_env = gp.FlowEnvironment(jet, mode="jet")
     rng = random.Random(2024)
     start = time.perf_counter()
     h = 1e-5
@@ -99,7 +100,7 @@ def test_criterion_4_flow_model_numerics():
                - gp.stream_function(x, y - h, t, jet)) / (2 * h)
         fv = (gp.stream_function(x + h, y, t, jet)
               - gp.stream_function(x - h, y, t, jet)) / (2 * h)
-        s = gp.jet_velocity(x, y, t, jet)
+        s = gp.velocity(x, y, 0.0, t, jet_env)
         if abs(s.u - fu) > 1e-5 * max(1.0, abs(fu)):
             ok = False
         if abs(s.v - fv) > 1e-5 * max(1.0, abs(fv)):

@@ -17,7 +17,7 @@ import pytest
 from gliderplan.cli import run_plan, write_plan_outputs
 from gliderplan.mission import parse_mission
 from gliderplan.ocean import FlowEnvironment
-from conftest import EXAMPLE_MISSION, REPO_ROOT, benchmark_missions
+from conftest import EXAMPLE_MISSION, LATTICE_MISSION, benchmark_missions
 
 FILES = ("path.xml", "path.csv", "path_trace.csv", "graph_stats.csv")
 
@@ -46,7 +46,6 @@ GOLDEN = {
 
 # One dive profile in a uniform current on a 4,133-node lattice: every
 # profile family has one member, so this pins the path that shares nothing.
-LATTICE_MISSION = REPO_ROOT / "perfbench" / "missions" / "lattice-uniform.xml"
 LATTICE_GOLDEN = (
     "b578e16407d9d5c880a56b2d8cc4a7b1fdffa7270649868812a5d7079b89eed2",
     "aa5f802ee94d3e2761c291733cabc9a4a3e765cf637319e513bc196769e111c7",

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import gliderplan as gp
-from conftest import all_edges, straight_edge
+from conftest import LATTICE_MISSION, all_edges, straight_edge
 from gliderplan.grid import degree_histogram, graph_stats_rows
 
 
@@ -84,7 +84,7 @@ class TestBuildGrid:
         a = gp.build_grid(spec)
         b = gp.build_grid(spec)
         assert a.nodes == b.nodes
-        assert a.adj == b.adj
+        assert all_edges(a) == all_edges(b)
 
     def test_too_small_box_rejected(self):
         with pytest.raises(gp.ParameterError):
@@ -168,6 +168,40 @@ class TestExactGeometry:
         g = self.with_terminals(spec)
         for a in range(len(g.nodes)):
             assert [g.edge(a, e.to) for e in g.adj[a]] == g.adj[a]
+
+
+class TestNoStoredEdges:
+    """The graph stores no edges: building it and inserting its terminals
+    makes only the edges that check it, and adj makes them when read."""
+
+    def test_build_and_terminals_make_only_checks_and_links(self,
+                                                           monkeypatch):
+        cfg = gp.parse_mission(str(LATTICE_MISSION))
+        made = []
+        real_edge = gp.Graph.edge
+
+        def edge(g, a, b):
+            made.append((a, b))
+            return real_edge(g, a, b)
+
+        monkeypatch.setattr(gp.Graph, "edge", edge)
+        g = gp.build_grid(cfg.grid)
+        gp.insert_terminal(g, *cfg.start, "start")
+        gp.insert_terminal(g, *cfg.goal, "goal")
+        nx, ny = cfg.grid.shape
+        unit_edges = ([(i, i + 1) for i in range(nx - 1)]
+                      + [(j * nx, (j + 1) * nx) for j in range(ny - 1)])
+        links = [(tid, b) for tid in (g.start_id, g.goal_id)
+                 for b in g.links[tid]]
+        assert links
+        assert made == unit_edges + links
+
+    def test_adj_iterates_node_by_node(self):
+        g = TestExactGeometry.with_terminals(EXACT_SPECS[0])
+        assert len(list(g.adj)) == len(g.nodes)
+        assert len(g.adj) == len(g.nodes)
+        with pytest.raises(IndexError):
+            g.adj[len(g.nodes)]
 
 
 class TestZeroLengthEdge:

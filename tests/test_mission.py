@@ -480,9 +480,10 @@ class TestCmdField:
         assert lines[0] == "t,x,y,z,u,v"
         assert len(lines) == 1 + 3 * 2 * 2
         cfg = gp.parse_mission(example_mission)
+        jet_env = gp.FlowEnvironment(cfg.env.jet, mode="jet")
         for line in lines[1:]:
             t, x, y, z, u, v = (float(tok) for tok in line.split(","))
-            jet = gp.jet_velocity(x, y, t, cfg.env.jet)
+            jet = gp.velocity(x, y, 0.0, t, jet_env)
             if z == 0.0:
                 assert u == pytest.approx(jet.u + 0.5)
             else:  # below z_decay: jet only

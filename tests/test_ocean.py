@@ -63,22 +63,26 @@ class TestStreamFunction:
 
 
 class TestJetVelocity:
+    """velocity() in jet mode: the jet alone."""
+
     def test_centerline_u(self):
         jet = gp.JetParams()
+        env = gp.FlowEnvironment(jet, mode=MODE_JET)
         for t, x in [(0.0, 0.3), (5.0, 2.0)]:
             B = gp.meander_amplitude(t, jet)
             a = jet.k * (x - jet.c * t)
             y = B * math.cos(a)
             expected = 1.0 / math.sqrt(1 + jet.k ** 2 * B ** 2 * math.sin(a) ** 2)
-            s = gp.jet_velocity(x, y, t, jet)
+            s = gp.velocity(x, y, 0.0, t, env)
             assert s.u == pytest.approx(expected)
             assert s.u > 0
 
     def test_matches_finite_differences(self):
         jet = gp.JetParams()
+        env = gp.FlowEnvironment(jet, mode=MODE_JET)
         for x, y, t in random_points(1000, seed=2):
             fu, fv = fd_velocity(x, y, t, jet)
-            s = gp.jet_velocity(x, y, t, jet)
+            s = gp.velocity(x, y, 0.0, t, env)
             assert abs(s.u - fu) <= 1e-5 * max(1.0, abs(fu))
             assert abs(s.v - fv) <= 1e-5 * max(1.0, abs(fv))
 
@@ -86,39 +90,46 @@ class TestJetVelocity:
         # sin(k(x-ct)) = 0 and numerator zero: x - ct a multiple of pi/k,
         # y on the centerline.
         jet = gp.JetParams()
+        env = gp.FlowEnvironment(jet, mode=MODE_JET)
         t = 0.0
         for m in range(4):
             x = jet.c * t + m * math.pi / jet.k
             y = gp.meander_amplitude(t, jet) * math.cos(jet.k * (x - jet.c * t))
             fu, fv = fd_velocity(x, y, t, jet)
-            s = gp.jet_velocity(x, y, t, jet)
+            s = gp.velocity(x, y, 0.0, t, env)
             assert s.v == pytest.approx(fv, abs=1e-8)
+
+
+def surface_u(z, t, surf, omega):
+    """velocity()'s u in surface mode: the surface term alone."""
+    env = gp.FlowEnvironment(gp.JetParams(omega=omega), surf, MODE_SURFACE)
+    return gp.velocity(0.0, 0.0, z, t, env).u
 
 
 class TestSurfaceTerm:
     def test_vanishes_at_decay_depth(self):
         surf = gp.SurfaceCurrentParams()
         for t in (0.0, 1.0, 7.3):
-            assert gp.surface_term(15.0, t, surf, 0.4) == 0.0
-            assert gp.surface_term(80.0, t, surf, 0.4) == 0.0
+            assert surface_u(15.0, t, surf, 0.4) == 0.0
+            assert surface_u(80.0, t, surf, 0.4) == 0.0
 
     def test_surface_value(self):
-        assert gp.surface_term(0.0, 0.0, gp.SurfaceCurrentParams(), 0.4) == \
+        assert surface_u(0.0, 0.0, gp.SurfaceCurrentParams(), 0.4) == \
             pytest.approx(0.5)
 
     def test_linear_decay(self):
-        assert gp.surface_term(7.5, 0.0, gp.SurfaceCurrentParams(), 0.4) == \
+        assert surface_u(7.5, 0.0, gp.SurfaceCurrentParams(), 0.4) == \
             pytest.approx(0.25)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(gp.ParameterError):
-            gp.surface_term(-1.0, 0.0, gp.SurfaceCurrentParams(), 0.4)
+            surface_u(-1.0, 0.0, gp.SurfaceCurrentParams(), 0.4)
 
     def test_sign_follows_cosine(self):
         surf = gp.SurfaceCurrentParams()
         omega = 0.4
         for t in [0.0, 1.0, 2.0, 3.5, 6.0]:
-            val = gp.surface_term(0.0, t, surf, omega)
+            val = surface_u(0.0, t, surf, omega)
             c = math.cos(surf.d * omega * t)
             assert math.copysign(1.0, val) == math.copysign(1.0, c) or val == 0.0
 
@@ -126,10 +137,11 @@ class TestSurfaceTerm:
 class TestVelocity:
     def test_full_equals_jet_below_decay_depth(self):
         env = gp.FlowEnvironment()
+        jet_env = gp.FlowEnvironment(env.jet, mode=MODE_JET)
         for x, y, t in random_points(50, seed=3):
             for z in (15.0, 30.0, 200.0):
                 full = gp.velocity(x, y, z, t, env)
-                jet = gp.jet_velocity(x, y, t, env.jet)
+                jet = gp.velocity(x, y, 0.0, t, jet_env)
                 assert full.u == jet.u  # bit-exact
                 assert full.v == jet.v
 
@@ -270,10 +282,12 @@ class TestBoundField:
         sample = gp.velocity(x, y, z, t, env)
         assert type(sample) is gp.FlowSample
         assert bits(sample) == bits(reference_velocity(x, y, z, t, env))
-        assert bits(gp.jet_velocity(x, y, t, jet)) == bits(
-            reference_jet_uv(x, y, t, jet))
-        assert bits([gp.surface_term(z, t, surface, jet.omega)]) == bits(
-            [reference_surface(z, t, surface, jet.omega)])
+        # each term alone, as velocity() gives it in jet or surface mode
+        assert bits(gp.velocity(x, y, z, t, gp.FlowEnvironment(
+            jet, surface, MODE_JET))) == bits(reference_jet_uv(x, y, t, jet))
+        assert bits(gp.velocity(x, y, z, t, gp.FlowEnvironment(
+            jet, surface, MODE_SURFACE))) == bits(
+            (reference_surface(z, t, surface, jet.omega), 0.0))
         assert bits([gp.meander_amplitude(t, jet)]) == bits(
             [reference_amplitude(t, jet)])
 

@@ -7,7 +7,8 @@ from hypothesis import given, reject, settings, strategies as st
 import gliderplan as gp
 import gliderplan.search
 from gliderplan.ocean import MODES
-from conftest import EXAMPLE_MISSION, all_edges, benchmark_missions
+from conftest import (EXAMPLE_MISSION, all_edges, benchmark_missions,
+                      explicit_graph)
 
 
 def make_instance(seed):
@@ -34,7 +35,12 @@ def make_instance(seed):
 
 def example_instance(t0=None):
     """The example mission's planning instance, at its own t0 or another."""
-    cfg = gp.parse_mission(str(EXAMPLE_MISSION))
+    return mission_instance(EXAMPLE_MISSION, t0)
+
+
+def mission_instance(mission, t0=None):
+    """A mission file's planning instance, at its own t0 or another."""
+    cfg = gp.parse_mission(str(mission))
     g = gp.build_grid(cfg.grid)
     gp.insert_terminal(g, *cfg.start, "start")
     gp.insert_terminal(g, *cfg.goal, "goal")
@@ -81,23 +87,19 @@ def fifo_instances(n, start_seed=0):
 
 
 def two_node_graph(length=1.0):
-    g = gp.build_grid(gp.GridSpec(0, length, 0, length, length, 1))
-    g.start_id = 0
-    g.goal_id = 3
-    # keep only the direct diagonal edge
-    diag = [e for e in g.adj[0] if e.to == 3]
-    for i in range(len(g.adj)):
-        g.adj[i] = []
-    g.adj[0] = diag
-    return g
+    # the 2 x 2 lattice with only its direct diagonal edge
+    spec = gp.GridSpec(0, length, 0, length, length, 1)
+    g = gp.build_grid(spec)
+    return explicit_graph(spec, [(n.x, n.y) for n in g.nodes], {0: [3]},
+                          0, 3)
 
 
 class TestPlanBasics:
     def test_single_edge_still_water(self, veh, integ):
-        g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 1.0, 1))
-        g.start_id = 0
-        g.goal_id = 1
-        g.adj = [[e for e in g.adj[0] if e.to == 1], [], [], []]
+        spec = gp.GridSpec(0, 1, 0, 1, 1.0, 1)
+        lattice = gp.build_grid(spec).nodes
+        g = explicit_graph(spec, [(n.x, n.y) for n in lattice], {0: [1]},
+                           0, 1)
         res = gp.plan(g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
                       gp.FlowEnvironment.still(), veh, integ)
         assert len(res.legs) == 1
@@ -168,6 +170,34 @@ class TestCostedEdges:
                 edge = tasks[0].edge
                 tails.add(edge.frm)
                 assert edge.to not in tails
+
+    def test_no_flight_starts_at_or_past_its_deadline(self, tmp_path):
+        # an edge into a head reached before the departure is not flown:
+        # it could only arrive later
+        insts = [example_instance(t0) for t0 in (0.0, 1.5, 3.0)] + [
+            mission_instance(m) for m in benchmark_missions(tmp_path)]
+        for inst in insts:
+            calls = []
+            gp.plan(*inst, recording(gp.serial_evaluator, calls))
+            assert calls
+            for tasks, _times in calls:
+                for task in tasks:
+                    assert task.t_start < task.t_limit
+
+    def test_lattice_plan_makes_few_edges(self, monkeypatch, tmp_path):
+        mission, = benchmark_missions(tmp_path)[:1]
+        inst = mission_instance(mission)
+        assert inst[0].n_edges() == 125_262
+        made = []
+        real_edge = gp.Graph.edge
+
+        def edge(g, a, b):
+            made.append((a, b))
+            return real_edge(g, a, b)
+
+        monkeypatch.setattr(gp.Graph, "edge", edge)
+        gp.plan(*inst)
+        assert 0 < len(made) < 0.03 * 125_262
 
     def test_pool_and_serial_cut_the_same_traversals(self):
         inst = example_instance(t0=2.0)
@@ -352,12 +382,10 @@ def parallelogram_instance():
     the same times the other way round. A* settles node 2 first (its
     bound to the goal at node 4 is the smaller), Dijkstra node 1 (it is
     reached first)."""
-    g = gp.Graph(gp.GridSpec(0.0, 0.5, 0.0, 1.5, 0.5, 1))
-    for x, y in ((0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1.0), (0.5, 1.5)):
-        g.add_node(x, y)
-    for a, b in ((0, 1), (0, 2), (1, 3), (2, 3), (3, 4)):
-        g.adj[a].append(g.edge(a, b))
-    g.start_id, g.goal_id = 0, 4
+    g = explicit_graph(
+        gp.GridSpec(0.0, 0.5, 0.0, 1.5, 0.5, 1),
+        [(0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.5, 1.0), (0.5, 1.5)],
+        {0: [1, 2], 1: [3], 2: [3], 3: [4]}, 0, 4)
     return (g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
             gp.FlowEnvironment.still(), gp.VehicleParams(),
             gp.IntegrationParams(dt=0.1))
@@ -410,12 +438,7 @@ class TestAStar:
         # the benchmark's lattice-uniform missions, the current turned by
         # 0, 1/4, 1/2 and 3/4 of a turn
         for mission in benchmark_missions(tmp_path):
-            cfg = gp.parse_mission(mission)
-            g = gp.build_grid(cfg.grid)
-            gp.insert_terminal(g, *cfg.start, "start")
-            gp.insert_terminal(g, *cfg.goal, "goal")
-            inst = (g, cfg.t0, gp.generate_dive_profiles(cfg.profile_params),
-                    cfg.env, cfg.vehicle, cfg.integration)
+            inst = mission_instance(mission)
             a_star, dijkstra = [], []
             res = gp.plan(*inst, recording(gp.serial_evaluator, a_star))
             assert res == plan_without_bound(
