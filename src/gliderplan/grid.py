@@ -173,9 +173,11 @@ def build_grid(spec):
     nx - 1 + ny - 1 edges with Graph.edge refuses every edge it would."""
     g = Graph(spec)
     nx, ny = g.shape
-    g.nodes = [Node(j * nx + i, spec.x_min + i * spec.h,
-                    spec.y_min + j * spec.h)
-               for j in range(ny) for i in range(nx)]
+    # each column's x and each row's y is made once, and its nodes share it
+    xs = [spec.x_min + i * spec.h for i in range(nx)]
+    ys = [spec.y_min + j * spec.h for j in range(ny)]
+    g.nodes = [Node(j * nx + i, x, y)
+               for j, y in enumerate(ys) for i, x in enumerate(xs)]
     for i in range(nx - 1):
         g.edge(i, i + 1)
     for j in range(ny - 1):
@@ -200,9 +202,14 @@ def insert_terminal(g, x, y, role):
     tid = len(g.nodes)
     g.nodes.append(Node(tid, x, y))
     # a link and its reverse have the same length, so one edge checks both;
-    # all are checked before any is linked
-    for b in near:
-        g.edge(tid, b)
+    # all are checked before any is linked, and a refused terminal leaves
+    # no node behind
+    try:
+        for b in near:
+            g.edge(tid, b)
+    except ParameterError:
+        g.nodes.pop()
+        raise
     for b in near:
         g.links.setdefault(b, []).append(tid)
     g.links[tid] = near

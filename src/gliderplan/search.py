@@ -24,27 +24,43 @@ most any edge's time plus h at its head, which is consistency. h is shrunk
 by a relative 1e-12 so that rounding in the bound, the keys and the
 kernel's cut final step cannot make it inconsistent. That needs the
 rounding in rho, a few ulps of R, to stay well below 1e-12 of rho;
-rho >= R - hypot(cx, cy) >= R / 100 keeps it under 1e-13. So when the
-current may outrun the vehicle (hypot(cx, cy) >= R), or comes within 1% of
-R, h is 0 and the search is Dijkstra. The direction to the goal is
-L's components over L, a unit vector to an ulp wherever L is at least the
-smallest normal float (grid.MIN_EDGE_LENGTH), the shortest edge
-Graph.edge makes. h is 0 closer
-than that: at the goal's own position, and at a start that close to it,
-whose key orders nothing.
+rho >= R - hypot(cx, cy) >= R / 100 keeps it under 1e-13. It also needs
+an edge's time to be long against the rounding of h at its ends, which
+holds for lattice edges; a link from the start may be shorter, and the
+start's h is clamped for it (_time_to_goal_bound). When the current may
+outrun the vehicle (hypot(cx, cy) >= R), or comes within 1% of R, h is 0
+and the search is Dijkstra. The direction to the goal is L's components
+over L, a unit vector to an ulp wherever L is at least the smallest normal
+float (grid.MIN_EDGE_LENGTH), the shortest edge Graph.edge makes. The
+bound is 0 closer than that, as at the goal's own position.
 
 The graph stores no edges: a settled node's out-neighbours come from
-Graph.heads, and Graph.edge makes an edge only for a flight. Three cuts
-keep flights that cannot improve a label from being flown. Keys never
-decrease along a search and travel times are positive, so an edge into a
-settled head m can never arrive before arrival[m]; nor can an edge into a
-head already reached before the departure (arrival[m] < t). Neither edge
-is made. Any other edge is flown with the float just above the head's
-tentative arrival as its deadline (cost.edge_cost's t_limit): a later
-arrival cannot improve the label, and one that ties it is flown to the
-end, for plan()'s tie rule. A step starts no later than the flight ends,
-so the tie's last step always starts before that deadline, and every
-flight starts before its deadline.
+Graph.heads, and Graph.edge makes an edge only for a flight. Edges are
+flown lazily (lazy best-first search, Dellin & Srinivasa 2016). When a
+node n settles at t, each edge n -> m is queued unflown, as a candidate
+keyed on (t + lb) + h(m), rounded in those two steps as a node's key
+arrival + h(m) is. lb is the same disk bound for the straight leg
+n -> m, shrunk by a relative 5e-13, still well above the rounding in rho,
+so lb is at most the edge's flight time. A candidate is flown when it
+pops; at equal keys candidates pop before nodes. Rounding is monotone, so
+a candidate whose flight would lower or tie m's label has a key no
+greater than the key m gets from that label: it pops, and is flown,
+before m settles. With h = 0, lb = 0 too, every candidate pops right
+after its tail settles, and the search is Dijkstra.
+
+Three cuts keep flights that cannot improve a label from being flown,
+checked when the candidate is queued and again when it pops. An edge into
+a settled head m can never arrive before arrival[m]: by the argument
+above, one that could would have been flown before m settled. Nor can an
+edge into a head already reached before the departure (arrival[m] < t),
+as travel times are positive. Neither edge is made. Any other edge is
+flown with the float just above the head's tentative arrival at the pop
+as its deadline (cost.edge_cost's t_limit): a later arrival cannot
+improve the label, and one that ties it is flown to the end, for plan()'s
+tie rule. A deadline taken later is only tighter, so it cuts only flights
+that could neither improve nor tie the label. A step starts no later than
+the flight ends, so the tie's last step always starts before that
+deadline, and every flight starts before its deadline.
 
 The profiles are grouped into families once per search, for its env,
 vehicle and integration (cost.profile_families). Each costed edge flies
@@ -61,15 +77,19 @@ from .errors import NoPathError, ParameterError
 from .grid import MIN_EDGE_LENGTH
 from .ocean import current_disk
 
-# Relative shrink of the A* bound, against rounding (see the module doc).
+# Relative shrinks of the A* bound h and of the edge bound lb, against
+# rounding (see the module doc). lb is shrunk less, which leaves the
+# start's bound a range to be consistent in (_time_to_goal_bound).
 _H_SHRINK = 1.0 - 1e-12
+_LEG_SHRINK = 1.0 - 5e-13
 # The disk bound is used while the disk's centre is at most this share of
 # R from the origin, so its speed toward the goal is at least 1% of R
 # (see the module doc); h is 0 beyond it.
 _DISK_SPAN = 0.99
 
 
-@dataclass(frozen=True)
+# A plan's result holds a Leg per path leg; slots keep each one small.
+@dataclass(frozen=True, slots=True)
 class Leg:
     frm: int
     to: int
@@ -105,32 +125,73 @@ def _reconstruct(pred, start, goal, t0, arrival):
     return PathResult(legs, t0, arrival)
 
 
-def _time_to_goal_bound(g, env, veh):
-    """h(node): a consistent lower bound on the time any flight through
-    env takes from the node to the goal terminal (see the module doc),
-    shrunk by _H_SHRINK."""
+def _leg_bound(env, veh, shrink):
+    """bound(ex, ey): a lower bound on the time any flight through env
+    takes along the straight leg (ex, ey), the disk bound of the module
+    doc times shrink. It is 0 for a leg shorter than MIN_EDGE_LENGTH, and
+    for every leg when the disk's centre is more than _DISK_SPAN * R from
+    the origin."""
     cx, cy, r = current_disk(env)
     R = veh.v_bf + r
     R2 = R * R
-    c = math.hypot(cx, cy)
-    nodes = g.nodes
-    _, gx, gy = nodes[g.goal_id]
     sqrt = math.sqrt
     hypot = math.hypot
 
-    if c > _DISK_SPAN * R:
-        return lambda n: 0.0
+    if hypot(cx, cy) > _DISK_SPAN * R:
+        return lambda ex, ey: 0.0
 
-    def h(n):
-        _, x, y = nodes[n]
-        ex, ey = gx - x, gy - y
+    def bound(ex, ey):
         length = hypot(ex, ey)
         if length < MIN_EDGE_LENGTH:
             return 0.0
         dx, dy = ex / length, ey / length
         c_perp = cx * dy - cy * dx
         rho = cx * dx + cy * dy + sqrt(R2 - c_perp * c_perp)
-        return _H_SHRINK * length / rho
+        return shrink * length / rho
+
+    return bound
+
+
+def _time_to_goal_bound(g, env, veh):
+    """h(node): a consistent lower bound on the time any flight through
+    env takes from the node to the goal terminal (see the module doc).
+
+    For any node but the start it is the bound of the straight leg to the
+    goal, shrunk by _H_SHRINK. That alone is not consistent on a link
+    shorter than the rounding of h, such as one from a start an ulp from
+    a grid node: the bounds at its ends can differ by an ulp of h, more
+    than the flight between them takes. The start's bound orders nothing
+    in plan() (its entry is the first and the only one), so it is the
+    straight-leg bound clamped to the range that keeps h consistent on
+    each of the start's links, both ways, for every flight time at least
+    the link's lb (shrunk by _LEG_SHRINK). lb is shrunk less than h, so
+    that range is not empty while the lattice's links are long against
+    the rounding of h, as consistency on them needs anyway."""
+    to_goal = _leg_bound(env, veh, _H_SHRINK)
+    leg = _leg_bound(env, veh, _LEG_SHRINK)
+    nodes = g.nodes
+    _, gx, gy = nodes[g.goal_id]
+    start = g.start_id
+    _, sx, sy = nodes[start]
+    low, high = 0.0, math.inf
+    for k in g.heads(start):
+        _, kx, ky = nodes[k]
+        hk = to_goal(gx - kx, gy - ky)
+        # h(k) <= t + h(start) for every flight time t >= lb(k -> start)
+        lb = leg(sx - kx, sy - ky)
+        x = hk - lb
+        while lb + x < hk:
+            x = math.nextafter(x, math.inf)
+        low = max(low, x)
+        # h(start) <= t + h(k) for every flight time t >= lb(start -> k)
+        high = min(high, leg(kx - sx, ky - sy) + hk)
+    h_start = min(max(to_goal(gx - sx, gy - sy), low), high)
+
+    def h(n):
+        if n == start:
+            return h_start
+        _, x, y = nodes[n]
+        return to_goal(gx - x, gy - y)
 
     return h
 
@@ -138,51 +199,77 @@ def _time_to_goal_bound(g, env, veh):
 def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     """Least-arrival-time path from the start terminal to the goal terminal.
 
-    A* with the bound h of _time_to_goal_bound: the queue is keyed on
-    (arrival + h(node), arrival, node id), so with h = 0 it pops in
-    Dijkstra's order, (arrival time, node id). Among tails that reach a
-    node at the same arrival, the one with the least (departure, tail id)
-    is its predecessor: the tail Dijkstra settles first, whose label it
-    keeps. That rule does not depend on the order in which A* settles the
-    tails, so the path is the one h = 0 gives. Each edge into a node that
-    is neither settled nor reached before the departure is made with
-    Graph.edge and flown once per profile family (cost.profile_families,
-    grouped once here), up to just past that node's tentative arrival. Ties
-    between profiles break on the lowest profile index, so the result is
-    the same as when every profile is flown alone.
+    A* with the bound h of _time_to_goal_bound, whose edges are flown
+    lazily. A node reached at arrival is queued on
+    (arrival + h(node), 1, arrival, node id), so with h = 0 nodes pop in
+    Dijkstra's order, (arrival time, node id). When a node n settles at t,
+    each edge n -> m into a head that is neither settled nor reached
+    before t is queued unflown, as a candidate
+    ((t + lb) + h(m), 0, n, m), lb the _leg_bound of the straight leg; at
+    equal keys candidates pop first. A popped candidate whose head is still
+    neither settled nor reached before t is made with Graph.edge and flown
+    once per profile family (cost.profile_families, grouped once here), up
+    to just past the head's tentative arrival at the pop.
+
+    Among tails that reach a node at the same arrival, the one with the
+    least (departure, tail id) is its predecessor: the tail Dijkstra
+    settles first, whose label it keeps. That rule does not depend on the
+    order in which tails settle or their edges are flown, so the path is
+    the one h = 0 gives. Ties between profiles break on the lowest profile
+    index, so the result is the same as when every profile is flown alone.
     """
     if g.start_id is None or g.goal_id is None:
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
     families = profile_families(profiles, env, veh, integ)
+    bound = _leg_bound(env, veh, _LEG_SHRINK)
     h = _time_to_goal_bound(g, env, veh)
+    nodes = g.nodes
+    inf = math.inf
+    heappush = heapq.heappush
     arrival = {start: t0}
     pred = {}
     settled = set()
-    heap = [(t0 + h(start), t0, start)]
+    # h of each node a candidate has reached; the keys are made inline,
+    # since a lattice search queues some 30 candidates per settled node
+    hs = {start: h(start)}
+    heap = [(t0 + hs[start], 1, t0, start)]
     while heap:
-        _key, t, n = heapq.heappop(heap)
-        if n in settled:
+        _key, is_node, a, b = heapq.heappop(heap)
+        if is_node:
+            t, n = a, b
+            if n in settled:
+                continue
+            settled.add(n)
+            if n == goal:
+                return _reconstruct(pred, start, goal, t0, t)
+            _, x, y = nodes[n]
+            for m in g.heads(n):
+                if arrival.get(m, inf) < t or m in settled:
+                    continue
+                hm = hs.get(m)
+                if hm is None:
+                    hm = hs[m] = h(m)
+                _, mx, my = nodes[m]
+                heappush(heap, (t + bound(mx - x, my - y) + hm, 0, n, m))
             continue
-        settled.add(n)
-        if n == goal:
-            return _reconstruct(pred, start, goal, t0, t)
-        for m in g.heads(n):
-            tentative = arrival.get(m, math.inf)
-            if tentative < t or m in settled:
-                continue
-            edge = g.edge(n, m)
-            best_time, best_i = edge_cost(edge, t, families, evaluator,
-                                          math.nextafter(tentative, math.inf))
-            if best_time is None:
-                continue
-            arr = t + best_time
-            if arr < tentative:
-                arrival[m] = arr
-                pred[m] = (edge, t, best_time, best_i)
-                heapq.heappush(heap, (arr + h(m), arr, m))
-            elif arr == tentative and (t, n) < (pred[m][1], pred[m][0].frm):
-                pred[m] = (edge, t, best_time, best_i)
+        n, m = a, b
+        t = arrival[n]
+        tentative = arrival.get(m, inf)
+        if tentative < t or m in settled:
+            continue
+        edge = g.edge(n, m)
+        best_time, best_i = edge_cost(edge, t, families, evaluator,
+                                      math.nextafter(tentative, inf))
+        if best_time is None:
+            continue
+        arr = t + best_time
+        if arr < tentative:
+            arrival[m] = arr
+            pred[m] = (edge, t, best_time, best_i)
+            heappush(heap, (arr + hs[m], 1, arr, m))
+        elif arr == tentative and (t, n) < (pred[m][1], pred[m][0].frm):
+            pred[m] = (edge, t, best_time, best_i)
     raise NoPathError("goal terminal unreachable from start at t0=%g" % t0)
 
 

@@ -46,6 +46,13 @@ class TestBuildGrid:
         assert (g.nodes[5].x, g.nodes[5].y) == (0.0, 0.5)
         assert spec.shape == (5, 3)
 
+    def test_columns_and_rows_share_coordinates(self):
+        # one float object per column x and per row y
+        spec = gp.GridSpec(0, 0.7, 0, 0.5, 0.1, 3)
+        g = gp.build_grid(spec)
+        assert len({id(n.x) for n in g.nodes}) == spec.shape[0]
+        assert len({id(n.y) for n in g.nodes}) == spec.shape[1]
+
     def test_shape_tolerates_rounding(self):
         # 0.7 / 0.1 is 6.999...; the lattice still reaches x_max
         assert gp.GridSpec(0, 0.7, 0, 0.2, 0.1, 1).shape == (8, 3)
@@ -220,6 +227,16 @@ class TestZeroLengthEdge:
         with pytest.raises(gp.ParameterError,
                            match=r"^subnormal-length edge 9 -> 0 at "):
             gp.insert_terminal(g, 5e-324, 5e-324, "start")
+
+    def test_refused_terminal_leaves_no_node(self):
+        spec = gp.GridSpec(0, 1, 0, 1, 0.5, 1)
+        g = gp.build_grid(spec)
+        with pytest.raises(gp.ParameterError):
+            gp.insert_terminal(g, 5e-324, 5e-324, "start")
+        assert len(g.nodes) == 9
+        assert g.start_id is None and not g.links
+        assert graph_stats_rows(g) == graph_stats_rows(gp.build_grid(spec))
+        assert gp.insert_terminal(g, 0.25, 0.25, "start") == 9
 
     def test_smallest_normal_length_has_a_unit_direction(self):
         g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))

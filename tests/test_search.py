@@ -444,3 +444,107 @@ class TestAStar:
             assert res == plan_without_bound(
                 *inst, recording(gp.serial_evaluator, dijkstra))
             assert len(a_star) < 0.1 * len(dijkstra)
+
+
+def late_tie_instance():
+    """Still water on a hand-built graph where two routes tie exactly at
+    node 3: 0 -> 1 -> 3 flies edges of times 2 and 1, 0 -> 2 -> 3 the
+    same times the other way round. A* settles node 1 first (its bound to
+    the goal at node 4 is the smaller), Dijkstra node 2 (it is reached
+    first), whose id is the larger. t0 is 2**20 and dt 0.5, so that every
+    flight time is exact and every sum of them lands on a float. An ulp
+    there is 2**-32, so the bounds' shrinks (1e-12 at most) round away: a
+    candidate's key is the key its head gets from the flight."""
+    g = explicit_graph(
+        gp.GridSpec(0.0, 0.5, 0.0, 1.5, 0.5, 1),
+        [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.5, 1.5)],
+        {0: [1, 2], 1: [3], 2: [3], 3: [4]}, 0, 4)
+    return (g, 2.0 ** 20, [gp.DiveProfile(0.0, 200.0, 0)],
+            gp.FlowEnvironment.still(), gp.VehicleParams(),
+            gp.IntegrationParams(dt=0.5))
+
+
+class TestLazyEdges:
+    """plan() queues each edge unflown, keyed on a lower bound of its
+    arrival, and flies it only when that key pops."""
+
+    def test_candidate_at_its_heads_key_is_flown_before_the_head_settles(
+            self):
+        inst = late_tie_instance()
+        g, t0, _profiles, env, veh, _integ = inst
+        flown = []
+        res = gp.plan(*inst, recording(gp.serial_evaluator, flown))
+        assert res == plan_without_bound(*inst)
+        assert res.node_sequence() == [0, 2, 3, 4]
+        # 1 -> 3 is flown first and labels node 3; 2 -> 3 ties that label
+        # and is flown before node 3 settles, at node 3's key
+        edges = [(tasks[0].edge.frm, tasks[0].edge.to)
+                 for tasks, _times in flown]
+        assert edges.index((1, 3)) < edges.index((2, 3))
+        leg_02, leg_23, _leg_34 = res.legs
+        arrival_2 = leg_02.departure + leg_02.travel_time
+        arrival_3 = leg_23.departure + leg_23.travel_time
+        assert (arrival_2, arrival_3) == (t0 + 1.0, t0 + 3.0)
+        bound = gliderplan.search._leg_bound(env, veh,
+                                             gliderplan.search._LEG_SHRINK)
+        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        (_, x2, y2), (_, x3, y3) = g.nodes[2], g.nodes[3]
+        key = arrival_2 + bound(x3 - x2, y3 - y2) + h(3)
+        assert key == arrival_3 + h(3)
+
+    def test_lattice_flies_81_edges_per_mission(self, tmp_path):
+        # the benchmark's lattice-uniform missions, the current turned by
+        # 0, 1/4, 1/2 and 3/4 of a turn
+        for mission in benchmark_missions(tmp_path):
+            inst = mission_instance(mission)
+            flown = []
+            res = gp.plan(*inst, recording(gp.serial_evaluator, flown))
+            assert len(flown) == 81
+            assert res == plan_without_bound(*inst)
+
+
+def start_an_ulp_from_a_grid_node():
+    """A start 2**-52 east of grid node 0, on the line from that node to
+    the goal, in a uniform current. The straight-leg bounds of the two
+    differ by more than the flight between them takes."""
+    g = gp.build_grid(gp.GridSpec(0.0, 0.8, 0.0, 0.8, 0.2, 1))
+    gp.insert_terminal(g, 2.0 ** -52, 0.0, "start")
+    gp.insert_terminal(g, 0.5, 0.0, "goal")
+    return (g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
+            gp.FlowEnvironment.uniform(0.1875, 0.0),
+            gp.VehicleParams(v_bf=1.0, w_vert=50.0),
+            gp.IntegrationParams(dt=0.02))
+
+
+class TestBounds:
+    """The two bounds plan() keys its queue on: lb on an edge's flight
+    time, and h, consistent on every edge."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=small_missions())
+    def test_edge_bound_is_at_most_the_flight_time(self, inst):
+        g, t0, profiles, env, veh, integ = inst
+        lb = gliderplan.search._leg_bound(env, veh,
+                                          gliderplan.search._LEG_SHRINK)
+        families = gp.profile_families(profiles, env, veh, integ)
+        for edge in all_edges(g):
+            res = gp.edge_cost(edge, t0, families)
+            (_, ax, ay), (_, bx, by) = g.nodes[edge.frm], g.nodes[edge.to]
+            if res.best_time is not None:
+                assert lb(bx - ax, by - ay) <= res.best_time
+
+    def test_start_bound_is_consistent_on_a_link_below_its_rounding(self):
+        g, t0, profiles, env, veh, integ = start_an_ulp_from_a_grid_node()
+        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        families = gp.profile_families(profiles, env, veh, integ)
+        times = {}
+        for edge in all_edges(g):
+            times[edge.frm, edge.to] = gp.edge_cost(edge, t0,
+                                                    families).best_time
+            assert h(edge.frm) <= times[edge.frm, edge.to] + h(edge.to)
+        # the straight-leg bound of the start alone is not consistent
+        to_goal = gliderplan.search._leg_bound(env, veh,
+                                               gliderplan.search._H_SHRINK)
+        straight = to_goal(0.5 - 2.0 ** -52, 0.0)
+        assert h(0) > times[0, g.start_id] + straight
+        assert h(g.start_id) == pytest.approx(straight, rel=1e-15)
