@@ -67,14 +67,14 @@ def write_plan_outputs(cfg, result, graph, out_dir):
         rows.append((t, node.x, node.y))
     write_csv(os.path.join(out_dir, "path.csv"), ("t", "x", "y"), rows)
 
-    profiles = generate_dive_profiles(cfg.profile_params)
+    # every profile alone, indexed by profile index
+    families = solo_families(generate_dive_profiles(cfg.profile_params),
+                             cfg.env, cfg.vehicle, cfg.integration)
     trace_rows = []
     for i, leg in enumerate(result.legs):
         trace = []
-        family, = solo_families([profiles[leg.profile_index]], cfg.env,
-                                cfg.vehicle, cfg.integration)
-        traverse_edge(graph.edge(leg.frm, leg.to), leg.departure, family,
-                      trace=trace)
+        traverse_edge(graph.edge(leg.frm, leg.to), leg.departure,
+                      families[leg.profile_index], trace=trace)
         for t, s, x, y, z, u, v, g in trace:
             trace_rows.append((i, t, s, x, y, z, u, v, g))
     write_csv(os.path.join(out_dir, "path_trace.csv"),

@@ -120,10 +120,9 @@ class Graph:
     def edge(self, a, b):
         """The edge a -> b from the node coordinates; the one formula every
         edge of the graph is made with, so it makes any of them the same
-        each time, bit for bit. The edge holds its nodes' own id objects,
-        which saves an int object per edge. An edge shorter than the
-        smallest normal float is refused: below it hypot loses the
-        precision that makes (dx, dy) a unit vector."""
+        each time, bit for bit. An edge shorter than the smallest normal
+        float is refused: below it hypot loses the precision that makes
+        (dx, dy) a unit vector."""
         a, ax, ay = self.nodes[a]
         b, bx, by = self.nodes[b]
         ex, ey = bx - ax, by - ay

@@ -8,6 +8,7 @@ fields of its config dataclass, whose field defaults fill omitted values.
 """
 
 import csv
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 
@@ -44,6 +45,13 @@ def _parse_bool(text):
     raise ValueError("not a boolean: %r" % text)
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _attr(el, name, conv, default=MISSING):
     """el's attribute name converted by conv, or default if it is absent;
     a ConfigError names the element and the attribute if it is absent with
@@ -78,26 +86,28 @@ def _build(factory, element_name, **kwargs):
 
 def _schema(cls):
     """XML schema of a config dataclass, from its fields: each scalar field
-    is an attribute {name: (type, default)}, each dataclass-typed field a
-    child element {name: class}."""
+    is an attribute {name: (converter, default)}, the converter its type or
+    _finite for a float, each dataclass-typed field a child element
+    {name: class}."""
     attrs, nested = {}, {}
     for f in fields(cls):
         if is_dataclass(f.type):
             nested[f.name] = f.type
         else:
-            attrs[f.name] = (f.type, f.default)
+            attrs[f.name] = (_finite if f.type is float else f.type,
+                             f.default)
     return attrs, nested
 
 
 _SCHEMAS = {cls: _schema(cls) for cls in (
     FlowEnvironment, JetParams, SurfaceCurrentParams, VehicleParams,
     IntegrationParams, GridSpec, DiveProfileParams)}
-_START = {"x": (float, 0.2), "y": (float, 0.0)}
-_GOAL = {"x": (float, 7.8), "y": (float, 0.0)}
-_SEARCH = {"t0": (float, 0.0)}
+_START = {"x": (_finite, 0.2), "y": (_finite, 0.0)}
+_GOAL = {"x": (_finite, 7.8), "y": (_finite, 0.0)}
+_SEARCH = {"t0": (_finite, 0.0)}
 _ENGINE = {"n_workers": (int, 4),
            "sleep_poll_interval_ms": (
-               float, EngineConfig.sleep_poll_interval * 1e3),
+               _finite, EngineConfig.sleep_poll_interval * 1e3),
            "auto_sleep": (_parse_bool, False)}
 _RUN = {"mode": (str, "serial")}
 _ELEMENTS = {"flow", "vehicle", "integration", "grid", "dive_profiles",

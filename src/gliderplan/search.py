@@ -25,14 +25,20 @@ by a relative 1e-12 so that rounding in the bound, the keys and the
 kernel's cut final step cannot make it inconsistent. That needs the
 rounding in rho, a few ulps of R, to stay well below 1e-12 of rho;
 rho >= R - hypot(cx, cy) >= R / 100 keeps it under 1e-13. It also needs
-an edge's time to be long against the rounding of h at its ends, which
-holds for lattice edges; a link from the start may be shorter, and the
-start's h is clamped for it (_time_to_goal_bound). When the current may
-outrun the vehicle (hypot(cx, cy) >= R), or comes within 1% of R, h is 0
-and the search is Dijkstra. The direction to the goal is L's components
-over L, a unit vector to an ulp wherever L is at least the smallest normal
-float (grid.MIN_EDGE_LENGTH), the shortest edge Graph.edge makes. The
-bound is 0 closer than that, as at the goal's own position.
+an edge's time to be long against the rounding of h at its ends. That
+holds for lattice edges, and for a link into the goal, where h is 0 at
+the head and at the tail is the link's own straight-leg bound. A link at
+a start an ulp from a grid node is shorter than that rounding, so h is
+consistent on every edge where neither end is the start. That is all
+plan() needs: the start pops first, as the only entry queued; no edge
+into it is ever flown, as it is settled; and an edge out of it is keyed
+on (t0 + lb) + h(head), never on h(start), which plan() does not
+evaluate. When the current may outrun the vehicle (hypot(cx, cy) >= R),
+or comes within 1% of R, h is 0 and the search is Dijkstra. The direction
+to the goal is L's components over L, a unit vector to an ulp wherever L
+is at least the smallest normal float (grid.MIN_EDGE_LENGTH), the
+shortest edge Graph.edge makes. The bound is 0 closer than that, as at
+the goal's own position.
 
 The graph stores no edges: a settled node's out-neighbours come from
 Graph.heads, and Graph.edge makes an edge only for a flight. Edges are
@@ -78,8 +84,8 @@ from .grid import MIN_EDGE_LENGTH
 from .ocean import current_disk
 
 # Relative shrinks of the A* bound h and of the edge bound lb, against
-# rounding (see the module doc). lb is shrunk less, which leaves the
-# start's bound a range to be consistent in (_time_to_goal_bound).
+# rounding (see the module doc): lb stays at most every flight time, and h
+# consistent on every edge where neither end is the start.
 _H_SHRINK = 1.0 - 1e-12
 _LEG_SHRINK = 1.0 - 5e-13
 # The disk bound is used while the disk's centre is at most this share of
@@ -153,43 +159,17 @@ def _leg_bound(env, veh, shrink):
 
 
 def _time_to_goal_bound(g, env, veh):
-    """h(node): a consistent lower bound on the time any flight through
-    env takes from the node to the goal terminal (see the module doc).
-
-    For any node but the start it is the bound of the straight leg to the
-    goal, shrunk by _H_SHRINK. That alone is not consistent on a link
-    shorter than the rounding of h, such as one from a start an ulp from
-    a grid node: the bounds at its ends can differ by an ulp of h, more
-    than the flight between them takes. The start's bound orders nothing
-    in plan() (its entry is the first and the only one), so it is the
-    straight-leg bound clamped to the range that keeps h consistent on
-    each of the start's links, both ways, for every flight time at least
-    the link's lb (shrunk by _LEG_SHRINK). lb is shrunk less than h, so
-    that range is not empty while the lattice's links are long against
-    the rounding of h, as consistency on them needs anyway."""
+    """h(node): the bound of the straight leg from the node to the goal
+    terminal, shrunk by _H_SHRINK, a lower bound on the time any flight
+    through env takes between them. It is consistent on every edge where
+    neither end is the start, which is all plan() needs (see the module
+    doc); on a link at a start closer to a grid node than the rounding of
+    h, it need not be."""
     to_goal = _leg_bound(env, veh, _H_SHRINK)
-    leg = _leg_bound(env, veh, _LEG_SHRINK)
     nodes = g.nodes
     _, gx, gy = nodes[g.goal_id]
-    start = g.start_id
-    _, sx, sy = nodes[start]
-    low, high = 0.0, math.inf
-    for k in g.heads(start):
-        _, kx, ky = nodes[k]
-        hk = to_goal(gx - kx, gy - ky)
-        # h(k) <= t + h(start) for every flight time t >= lb(k -> start)
-        lb = leg(sx - kx, sy - ky)
-        x = hk - lb
-        while lb + x < hk:
-            x = math.nextafter(x, math.inf)
-        low = max(low, x)
-        # h(start) <= t + h(k) for every flight time t >= lb(start -> k)
-        high = min(high, leg(kx - sx, ky - sy) + hk)
-    h_start = min(max(to_goal(gx - sx, gy - sy), low), high)
 
     def h(n):
-        if n == start:
-            return h_start
         _, x, y = nodes[n]
         return to_goal(gx - x, gy - y)
 
@@ -201,15 +181,16 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
 
     A* with the bound h of _time_to_goal_bound, whose edges are flown
     lazily. A node reached at arrival is queued on
-    (arrival + h(node), 1, arrival, node id), so with h = 0 nodes pop in
-    Dijkstra's order, (arrival time, node id). When a node n settles at t,
-    each edge n -> m into a head that is neither settled nor reached
-    before t is queued unflown, as a candidate
-    ((t + lb) + h(m), 0, n, m), lb the _leg_bound of the straight leg; at
-    equal keys candidates pop first. A popped candidate whose head is still
-    neither settled nor reached before t is made with Graph.edge and flown
-    once per profile family (cost.profile_families, grouped once here), up
-    to just past the head's tentative arrival at the pop.
+    (arrival + h(node), 1, arrival, node id), and the start on
+    (t0, 1, t0, start), so with h = 0 nodes pop in Dijkstra's order,
+    (arrival time, node id). When a node n settles at t, each edge n -> m
+    into a head that is neither settled nor reached before t is queued
+    unflown, as a candidate ((t + lb) + h(m), 0, n, m), lb the _leg_bound
+    of the straight leg; at equal keys candidates pop first. A popped
+    candidate whose head is still neither settled nor reached before t is
+    made with Graph.edge and flown once per profile family
+    (cost.profile_families, grouped once here), up to just past the head's
+    tentative arrival at the pop.
 
     Among tails that reach a node at the same arrival, the one with the
     least (departure, tail id) is its predecessor: the tail Dijkstra
@@ -231,9 +212,10 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     pred = {}
     settled = set()
     # h of each node a candidate has reached; the keys are made inline,
-    # since a lattice search queues some 30 candidates per settled node
-    hs = {start: h(start)}
-    heap = [(t0 + hs[start], 1, t0, start)]
+    # since a lattice search queues some 30 candidates per settled node.
+    # The start is the only entry when it pops, so its key needs no h.
+    hs = {}
+    heap = [(t0, 1, t0, start)]
     while heap:
         _key, is_node, a, b = heapq.heappop(heap)
         if is_node:

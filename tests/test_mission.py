@@ -257,6 +257,23 @@ class TestCmdPlan:
         assert (out_s / "path.xml").read_bytes() == \
             (out_p / "path.xml").read_bytes()
 
+    def test_auto_sleep_pool_plan_equals_serial(self, tmp_path):
+        # the pool's workers are put to sleep while the grid is built and
+        # woken for the search
+        p = tmp_path / "sleepy.xml"
+        p.write_text(STILL_MISSION.replace(
+            '<engine n_workers="2"/>',
+            '<engine n_workers="2" auto_sleep="true"'
+            ' sleep_poll_interval_ms="5"/>'))
+        assert gp.parse_mission(str(p)).auto_sleep
+        out_s, out_p = tmp_path / "s", tmp_path / "p"
+        assert main(["plan", "--mission", str(p), "--serial",
+                     "--out", str(out_s)]) == 0
+        assert main(["plan", "--mission", str(p), "--parallel",
+                     "--workers", "2", "--out", str(out_p)]) == 0
+        assert (out_s / "path.xml").read_bytes() == \
+            (out_p / "path.xml").read_bytes()
+
     def test_plan_does_not_import_numpy(self, still_mission, tmp_path):
         # a serial and a pool plan in a fresh interpreter; numpy alone
         # would almost double the planner's resident memory
@@ -302,6 +319,48 @@ class TestCmdPlan:
         p = tmp_path / "bad.xml"
         p.write_text('<mission><dive_profiles n_dive_levels="0"/></mission>')
         assert main(["plan", "--mission", str(p)]) == 3
+
+    @pytest.mark.parametrize("doc,args,message", [
+        ('<mission><engine auto_sleep="maybe"/></mission>', ["plan"],
+         "<engine auto_sleep='maybe'>"),
+        ('<mission><run mode="batch"/></mission>', ["plan"], "<run>"),
+        ("<plan/>", ["plan"], "root element must be <mission>"),
+        ('<mission><grid x_min="1" x_max="1"/></mission>', ["plan"],
+         "<grid>: grid bounding box is empty"),
+        ('<mission><grid h="0"/></mission>', ["plan"], "<grid>: grid size h"),
+        ('<mission><grid sector_order="0"/></mission>', ["plan"],
+         "<grid>: sector_order"),
+        ('<mission><engine sleep_poll_interval_ms="0"/></mission>', ["plan"],
+         "<engine>: sleep_poll_interval"),
+        (STILL_MISSION, ["field", "--x", "0:1:0"], "'0:1:0'"),
+        (STILL_MISSION, ["field", "--z", "a"], "'a'"),
+        (STILL_MISSION, ["bench", "--workers", "3-x"], "'3-x'"),
+    ])
+    def test_config_errors_exit_3(self, tmp_path, capsys, doc, args, message):
+        p = tmp_path / "bad.xml"
+        p.write_text(doc)
+        assert main([args[0], "--mission", str(p), *args[1:],
+                     "--out", str(tmp_path / "out")]) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,culprit", [
+        ('<search t0="0.0"/>', '<search t0="nan"/>', "<search t0='nan'>"),
+        ('x_max="2.4"', 'x_max="inf"', "<grid x_max='inf'>"),
+        ('w_vert="100"', 'w_vert="inf"', "<vehicle w_vert='inf'>"),
+        ('eps_speed="1e-6"', 'eps_speed="nan"',
+         "<integration eps_speed='nan'>"),
+        ('omega="0.4"', 'omega="nan"', "<jet omega='nan'>"),
+    ])
+    def test_non_finite_number_is_a_config_error(self, example_mission,
+                                                 tmp_path, capsys, old, new,
+                                                 culprit):
+        text = Path(example_mission).read_text()
+        assert old in text
+        p = tmp_path / "non_finite.xml"
+        p.write_text(text.replace(old, new))
+        assert main(["plan", "--mission", str(p), "--out",
+                     str(tmp_path / "out")]) == 3
+        assert culprit + ": not a finite number" in capsys.readouterr().err
 
     def test_usage_error_exit_code(self, capsys):
         # argparse's own exit code, 2, is the no-path code
