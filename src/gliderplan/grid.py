@@ -19,6 +19,10 @@ from typing import NamedTuple
 
 from .errors import ParameterError
 
+# GridSpec refuses a lattice of more nodes, about 240 times the benchmark's
+# 4,133-node lattice: build_grid would make every one of them.
+MAX_NODES = 1_000_000
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -36,6 +40,12 @@ class GridSpec:
             raise ParameterError("grid size h must be > 0")
         if self.sector_order < 1:
             raise ParameterError("sector_order must be >= 1")
+        # The longer span / h is compared as a float first, so a count that
+        # is inf, or would overflow int(), is refused before shape makes one.
+        n = max(self.x_max - self.x_min, self.y_max - self.y_min) / self.h
+        if not n < MAX_NODES or math.prod(self.shape) > MAX_NODES:
+            raise ParameterError("grid bounding box too large: more than %d "
+                                 "lattice nodes" % MAX_NODES)
         nx, ny = self.shape
         if nx < 2 or ny < 2:
             raise ParameterError("bounding box too small for a 2x2 lattice")
@@ -76,7 +86,7 @@ class Edge(NamedTuple):
 MIN_EDGE_LENGTH = sys.float_info.min
 
 # Builds an Edge from a field tuple, skipping the named tuple's generated
-# Python __new__ (as ocean._sample does for FlowSample).
+# Python __new__ and its frame.
 _edge = tuple.__new__
 
 

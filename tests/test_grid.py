@@ -5,7 +5,7 @@ import pytest
 
 import gliderplan as gp
 from conftest import LATTICE_MISSION, all_edges, straight_edge
-from gliderplan.grid import degree_histogram, graph_stats_rows
+from gliderplan.grid import MAX_NODES, degree_histogram, graph_stats_rows
 
 
 def interior_id(g, spec):
@@ -96,6 +96,21 @@ class TestBuildGrid:
     def test_too_small_box_rejected(self):
         with pytest.raises(gp.ParameterError):
             gp.GridSpec(0, 0.3, 0, 0.3, 0.4, 3)
+
+    @pytest.mark.parametrize("box", [
+        (0, 1e12, 0, 1, 0.4, 1),             # 2.5e12 x 3 nodes
+        (0, 400, 0, 400, 0.4, 1),            # 1001 x 1001 nodes
+        (-1.5e308, 1.5e308, 0, 1, 0.4, 1),   # the span overflows to inf
+        (0, 1e308, 0, 1, 1e-10, 1),          # span / h overflows to inf
+    ])
+    def test_too_large_box_rejected(self, box):
+        with pytest.raises(gp.ParameterError, match="too large"):
+            gp.GridSpec(*box)
+
+    def test_largest_box_accepted_without_building(self):
+        spec = gp.GridSpec(0, 399.6, 0, 399.6, 0.4, 1)
+        assert spec.shape == (1000, 1000)
+        assert spec.shape[0] * spec.shape[1] == MAX_NODES
 
 
 def lattice_edges(g, spec, a):

@@ -335,6 +335,10 @@ class TestCmdPlan:
         (STILL_MISSION, ["field", "--x", "0:1:0"], "'0:1:0'"),
         (STILL_MISSION, ["field", "--z", "a"], "'a'"),
         (STILL_MISSION, ["bench", "--workers", "3-x"], "'3-x'"),
+        ('<mission><grid x_max="1e12"/></mission>', ["plan"],
+         "<grid>: grid bounding box too large"),
+        ('<mission><grid x_min="-1.5e308" x_max="1.5e308"/></mission>',
+         ["plan"], "<grid>: grid bounding box too large"),
     ])
     def test_config_errors_exit_3(self, tmp_path, capsys, doc, args, message):
         p = tmp_path / "bad.xml"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gliderplan as gp
+import gliderplan.cost
 from gliderplan.ocean import (MODE_FULL, MODE_JET, MODE_STILL, MODE_SURFACE,
                               MODE_UNIFORM, MODES, current_disk,
                               depth_independent_below)
@@ -294,8 +295,24 @@ class TestBoundField:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("z", [-1e-300, -0.5, -math.inf])
     def test_negative_depth_rejected_in_every_mode(self, mode, z):
-        with pytest.raises(gp.ParameterError):
-            gp.velocity(0.0, 0.0, z, 0.0, gp.FlowEnvironment(mode=mode))
+        # through the public API and through the kernel's per-step call
+        for velocity in (gp.velocity, gliderplan.cost.velocity):
+            with pytest.raises(gp.ParameterError):
+                velocity(0.0, 0.0, z, 0.0, gp.FlowEnvironment(mode=mode))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_kernel_sample_is_the_public_sample_as_a_plain_tuple(self, mode):
+        # cost.velocity, the kernel's per-step call, returns a plain tuple;
+        # ocean.velocity wraps the same floats in a FlowSample
+        env = gp.FlowEnvironment(mode=mode, ux=0.1, uy=-0.2)
+        z_decay = env.surface.z_decay
+        for x, y, t in random_points(20, seed=11):
+            for z in (0.0, 0.5 * z_decay, z_decay, 2.0 * z_decay):
+                uv = gliderplan.cost.velocity(x, y, z, t, env)
+                sample = gp.velocity(x, y, z, t, env)
+                assert type(uv) is tuple
+                assert type(sample) is gp.FlowSample
+                assert bits(uv) == bits(sample) == bits((sample.u, sample.v))
 
     def test_value_semantics_unchanged(self):
         names = [f.name for f in dataclasses.fields(gp.FlowEnvironment)]
