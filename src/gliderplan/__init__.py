@@ -3,7 +3,7 @@ gliders, with per-edge dive-profile cost evaluation delegated to a
 master/worker pool."""
 
 from .cost import (EdgeCostResult, EdgeTask, Family, IntegrationParams,
-                   VehicleParams, edge_cost, profile_families, sawtooth_depth,
+                   VehicleParams, edge_cost, profile_families,
                    serial_evaluator, solo_families, traverse_edge)
 from .engine import (EngineConfig, TaskResult, WorkerPool, noop_run,
                      pool_evaluator, rounds_required)
@@ -16,6 +16,6 @@ from .ocean import (FlowEnvironment, FlowSample, JetParams,
                     SurfaceCurrentParams, meander_amplitude, stream_function,
                     velocity)
 from .profiles import DiveProfile, DiveProfileParams, generate_dive_profiles
-from .search import Leg, PathResult, brute_force_plan, plan
+from .search import Leg, PathResult, plan
 
 __version__ = "0.1.0"

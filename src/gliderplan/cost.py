@@ -130,11 +130,6 @@ def _depth(t_rel, z_climb, z_dive, half, period, w_vert):
     return z_dive - w_vert * (phase - half)
 
 
-def sawtooth_depth(t_rel, profile, w_vert):
-    """Depth (m) of the profile's sawtooth at time t_rel after edge start."""
-    return _depth(t_rel, *_sawtooth(profile, w_vert), w_vert)
-
-
 def _family(members, forks, env, veh, integ):
     """A Family of members, trunk first, with each member's fork step
     (None: never)."""

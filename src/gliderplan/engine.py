@@ -102,9 +102,6 @@ class WorkerPool:
                 self._results.put(TaskResult(
                     task.task_id, value, time.perf_counter() - start, error))
 
-    def worker_states(self):
-        return list(self._states)
-
     def sleep_all(self):
         self._check_alive()
         for inbox in self._inboxes:

@@ -106,6 +106,9 @@ class Graph:
         self.links = {}
         self.start_id = None
         self.goal_id = None
+        # build_grid sets it: the first nx * ny nodes are then the spec's
+        # lattice, with the coordinates build_grid gives them
+        self.lattice = False
 
     def heads(self, a):
         """a's out-neighbours: for a lattice node, its neighbours at the
@@ -191,6 +194,7 @@ def build_grid(spec):
         g.edge(i, i + 1)
     for j in range(ny - 1):
         g.edge(j * nx, (j + 1) * nx)
+    g.lattice = True
     return g
 
 

@@ -51,8 +51,28 @@ so lb is at most the edge's flight time. A candidate is flown when it
 pops; at equal keys candidates pop before nodes. Rounding is monotone, so
 a candidate whose flight would lower or tie m's label has a key no
 greater than the key m gets from that label: it pops, and is flown,
-before m settles. With h = 0, lb = 0 too, every candidate pops right
-after its tail settles, and the search is Dijkstra.
+before m settles. That holds for any lb no greater than the flight time.
+With h = 0, lb = 0 too, every candidate pops right after its tail
+settles, and the search is Dijkstra.
+
+A lattice edge's lb comes from a table made once per search, keyed by
+head id minus tail id: the bound of its offset's nominal leg
+(di * h, dj * h), shrunk so that it is at most the bound of the edge's own
+leg. The two legs differ by the rounding of the node coordinates
+x_min + i * h and y_min + j * h and of their differences: each component
+by at most err = 3u (max(|x_min| + 2 (nx - 1) h, |y_min| + 2 (ny - 1) h)
++ sector_order * h), u the unit roundoff, so the legs are at most 1.5 err
+apart. The unshrunk bound is the gauge of K, which obeys the triangle
+inequality, and along any direction rho lies between R - hypot(cx, cy)
+>= R / 100 and 2R, so moving a leg of length at least h by 1.5 err moves
+its bound by at most a relative 300 err / h. The table shrinks the
+nominal bound by that and by a further relative 1e-12, which covers the
+rounding of the two bound evaluations (each under 1e-13, as above). In a
+box so far from the origin against h that the shrink takes the whole
+bound, lb is 0. Where nx <= 2 * sector_order two offsets can share a key,
+and the table holds the smaller bound, still a bound on both. Links to
+the terminals, and every edge of a graph build_grid did not make, take
+the bound of their own leg.
 
 Three cuts keep flights that cannot improve a label from being flown,
 checked when the candidate is queued and again when it pops. An edge into
@@ -78,7 +98,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .cost import edge_cost, profile_families, solo_families
+from .cost import edge_cost, profile_families
 from .errors import NoPathError, ParameterError
 from .grid import MIN_EDGE_LENGTH
 from .ocean import current_disk
@@ -88,6 +108,10 @@ from .ocean import current_disk
 # consistent on every edge where neither end is the start.
 _H_SHRINK = 1.0 - 1e-12
 _LEG_SHRINK = 1.0 - 5e-13
+# The lattice table's relative shrink on top of its rounding margin, which
+# covers the rounding of the two lb evaluations it compares (module doc).
+_TABLE_SHRINK = 1.0 - 1e-12
+_UNIT_ROUNDOFF = math.ulp(1.0) / 2
 # The disk bound is used while the disk's centre is at most this share of
 # R from the origin, so its speed toward the goal is at least 1% of R
 # (see the module doc); h is 0 beyond it.
@@ -158,6 +182,33 @@ def _leg_bound(env, veh, shrink):
     return bound
 
 
+def _lattice_bounds(g, bound):
+    """lb for every lattice edge of a graph build_grid made, keyed by head
+    id minus tail id: bound of the edge's nominal leg (di * h, dj * h),
+    shrunk to cover how far rounding puts the node coordinates from it
+    (see the module doc). Where offsets share a key (nx <= 2 *
+    sector_order), the least of their bounds. Empty for any other graph,
+    whose edges all take bound on their own legs."""
+    if not g.lattice:
+        return {}
+    spec = g.spec
+    nx, ny = g.shape
+    h = spec.h
+    # a lattice leg's components lie within err of the nominal leg's
+    err = 3 * _UNIT_ROUNDOFF * (
+        max(abs(spec.x_min) + 2 * (nx - 1) * h,
+            abs(spec.y_min) + 2 * (ny - 1) * h) + spec.sector_order * h)
+    shrink = max(0.0, _TABLE_SHRINK - 300 * err / h)
+    table = {}
+    for di, dj in g.offsets:
+        # an offset no lattice edge has would only lower a shared key's lb
+        if abs(di) < nx and abs(dj) < ny:
+            lb = shrink * bound(di * h, dj * h)
+            key = dj * nx + di
+            table[key] = min(lb, table.get(key, lb))
+    return table
+
+
 def _time_to_goal_bound(g, env, veh):
     """h(node): the bound of the straight leg from the node to the goal
     terminal, shrunk by _H_SHRINK, a lower bound on the time any flight
@@ -186,7 +237,9 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     (arrival time, node id). When a node n settles at t, each edge n -> m
     into a head that is neither settled nor reached before t is queued
     unflown, as a candidate ((t + lb) + h(m), 0, n, m), lb the _leg_bound
-    of the straight leg; at equal keys candidates pop first. A popped
+    of the straight leg, read from the table of _lattice_bounds where n
+    and m are lattice nodes of build_grid; at equal keys candidates pop
+    first. A popped
     candidate whose head is still neither settled nor reached before t is
     made with Graph.edge and flown once per profile family
     (cost.profile_families, grouped once here), up to just past the head's
@@ -204,6 +257,8 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     start, goal = g.start_id, g.goal_id
     families = profile_families(profiles, env, veh, integ)
     bound = _leg_bound(env, veh, _LEG_SHRINK)
+    table = _lattice_bounds(g, bound)
+    n_lattice = math.prod(g.shape) if g.lattice else 0
     h = _time_to_goal_bound(g, env, veh)
     nodes = g.nodes
     inf = math.inf
@@ -226,14 +281,21 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             if n == goal:
                 return _reconstruct(pred, start, goal, t0, t)
             _, x, y = nodes[n]
+            # heads below lim are lattice nodes, as n is, and read their lb
+            # from the table; lim is 0 for a terminal tail
+            lim = n_lattice if n < n_lattice else 0
             for m in g.heads(n):
                 if arrival.get(m, inf) < t or m in settled:
                     continue
                 hm = hs.get(m)
                 if hm is None:
                     hm = hs[m] = h(m)
-                _, mx, my = nodes[m]
-                heappush(heap, (t + bound(mx - x, my - y) + hm, 0, n, m))
+                if m < lim:
+                    lb = table[m - n]
+                else:
+                    _, mx, my = nodes[m]
+                    lb = bound(mx - x, my - y)
+                heappush(heap, ((t + lb) + hm, 0, n, m))
             continue
         n, m = a, b
         t = arrival[n]
@@ -254,46 +316,3 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             pred[m] = (edge, t, best_time, best_i)
     raise NoPathError("goal terminal unreachable from start at t0=%g" % t0)
 
-
-def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None, max_hops=12):
-    """Exhaustive enumeration of simple start-goal paths up to max_hops,
-    accumulating time-dependent edge costs in path order. Test oracle for
-    plan(); only suitable for small graphs. Every profile is flown as a
-    family of its own (cost.solo_families), so the oracle shares none of
-    plan()'s fork steps.
-
-    Partial paths already no better than the best complete path are cut,
-    which cannot change the returned minimum (travel times are positive).
-    """
-    if g.start_id is None or g.goal_id is None:
-        raise ParameterError("graph needs start and goal terminals")
-    start, goal = g.start_id, g.goal_id
-    families = solo_families(profiles, env, veh, integ)
-    best = {"arrival": None, "legs": None}
-
-    def visit(node, t, hops, on_path, legs):
-        if best["arrival"] is not None and t >= best["arrival"]:
-            return
-        if node == goal:
-            best["arrival"] = t
-            best["legs"] = list(legs)
-            return
-        if hops == max_hops:
-            return
-        for edge in g.adj[node]:
-            m = edge.to
-            if m in on_path:
-                continue
-            result = edge_cost(edge, t, families, evaluator)
-            if result.best_time is None:
-                continue
-            on_path.add(m)
-            legs.append(Leg(edge.frm, m, t, result.best_time, result.best_profile_index))
-            visit(m, t + result.best_time, hops + 1, on_path, legs)
-            legs.pop()
-            on_path.remove(m)
-
-    visit(start, t0, 0, {start}, [])
-    if best["arrival"] is None:
-        raise NoPathError("no start-goal path within %d hops" % max_hops)
-    return PathResult(best["legs"], t0, best["arrival"])

@@ -1,0 +1,49 @@
+"""The brute-force test oracle for gliderplan.search.plan."""
+
+import gliderplan as gp
+
+
+def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None,
+                     max_hops=12):
+    """Exhaustive enumeration of simple start-goal paths up to max_hops,
+    accumulating time-dependent edge costs in path order. Test oracle for
+    gliderplan.plan(); only suitable for small graphs. Every profile is flown as a
+    family of its own (cost.solo_families), so the oracle shares none of
+    plan()'s fork steps.
+
+    Partial paths already no better than the best complete path are cut,
+    which cannot change the returned minimum (travel times are positive).
+    """
+    if g.start_id is None or g.goal_id is None:
+        raise gp.ParameterError("graph needs start and goal terminals")
+    start, goal = g.start_id, g.goal_id
+    families = gp.solo_families(profiles, env, veh, integ)
+    best = {"arrival": None, "legs": None}
+
+    def visit(node, t, hops, on_path, legs):
+        if best["arrival"] is not None and t >= best["arrival"]:
+            return
+        if node == goal:
+            best["arrival"] = t
+            best["legs"] = list(legs)
+            return
+        if hops == max_hops:
+            return
+        for edge in g.adj[node]:
+            m = edge.to
+            if m in on_path:
+                continue
+            result = gp.edge_cost(edge, t, families, evaluator)
+            if result.best_time is None:
+                continue
+            on_path.add(m)
+            legs.append(gp.Leg(edge.frm, m, t, result.best_time,
+                               result.best_profile_index))
+            visit(m, t + result.best_time, hops + 1, on_path, legs)
+            legs.pop()
+            on_path.remove(m)
+
+    visit(start, t0, 0, {start}, [])
+    if best["arrival"] is None:
+        raise gp.NoPathError("no start-goal path within %d hops" % max_hops)
+    return gp.PathResult(best["legs"], t0, best["arrival"])

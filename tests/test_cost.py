@@ -10,6 +10,13 @@ import gliderplan.ocean
 from conftest import adverse_surface_time, fly, jet_core_y, straight_edge
 
 
+def sawtooth_depth(t_rel, profile, w_vert):
+    """Depth (m) of the profile's sawtooth at time t_rel after edge start,
+    by the kernel's own depth formula."""
+    return gliderplan.cost._depth(
+        t_rel, *gliderplan.cost._sawtooth(profile, w_vert), w_vert)
+
+
 def independent_travel_time(edge, t_start, profile, env, veh, dt):
     """Independent re-implementation of the track-holding traversal used
     as a cross-check oracle; deliberately written from the kinematic model
@@ -40,20 +47,20 @@ def independent_travel_time(edge, t_start, profile, env, veh, dt):
 class TestSawtoothDepth:
     def test_starts_at_climb_depth(self):
         p = gp.DiveProfile(10.0, 110.0, 0)
-        assert gp.sawtooth_depth(0.0, p, 100.0) == 10.0
+        assert sawtooth_depth(0.0, p, 100.0) == 10.0
 
     def test_reaches_dive_depth(self):
         p = gp.DiveProfile(10.0, 110.0, 0)
-        assert gp.sawtooth_depth(1.0, p, 100.0) == pytest.approx(110.0)
+        assert sawtooth_depth(1.0, p, 100.0) == pytest.approx(110.0)
 
     def test_full_period(self):
         p = gp.DiveProfile(10.0, 110.0, 0)
-        assert gp.sawtooth_depth(2.0, p, 100.0) == pytest.approx(10.0)
+        assert sawtooth_depth(2.0, p, 100.0) == pytest.approx(10.0)
 
     def test_waveform_within_band(self):
         p = gp.DiveProfile(5.0, 80.0, 0)
         for i in range(200):
-            z = gp.sawtooth_depth(i * 0.013, p, 120.0)
+            z = sawtooth_depth(i * 0.013, p, 120.0)
             assert 5.0 - 1e-9 <= z <= 80.0 + 1e-9
 
 
@@ -455,8 +462,8 @@ class TestForkStep:
                               b.z_dive_to - b.z_climb_to) / w_vert
             elapsed = 0.0
             for k in range(integ.max_steps):
-                z_a = gp.sawtooth_depth(elapsed, a, w_vert)
-                z_b = gp.sawtooth_depth(elapsed, b, w_vert)
+                z_a = sawtooth_depth(elapsed, a, w_vert)
+                z_b = sawtooth_depth(elapsed, b, w_vert)
                 if (z_a != z_b and min(z_a, z_b) < z_flat
                         or elapsed > bound):
                     return k

@@ -67,13 +67,18 @@ class LosingQueue(queue.Queue):
         super().put(item, block, timeout)
 
 
+def worker_states(pool):
+    """Each worker's state, ASLEEP or AWAKE, in worker order."""
+    return list(pool._states)
+
+
 def wait_for_states(pool, predicate, timeout=2.0):
     deadline = time.perf_counter() + timeout
     while time.perf_counter() < deadline:
-        states = pool.worker_states()
+        states = worker_states(pool)
         if predicate(states):
             return states
-    return pool.worker_states()
+    return worker_states(pool)
 
 
 class TestRoundsRequired:
@@ -130,7 +135,7 @@ class TestSleepWake:
             wait_for_states(pool, lambda s: s.count(ASLEEP) == 3)
             pool.wake(0)
             time.sleep(0.05)
-            assert pool.worker_states() == [ASLEEP] * 3
+            assert worker_states(pool) == [ASLEEP] * 3
 
     def test_wake_clamps_to_pool_size(self):
         with gp.WorkerPool(gp.EngineConfig(3, sleep_poll_interval=0.02)) as pool:
@@ -228,14 +233,23 @@ class TestDelegate:
 
     @pytest.mark.parametrize("n_tasks,n_workers", [(20, 5), (20, 7), (20, 20)])
     def test_round_structure_timing(self, n_tasks, n_workers):
-        duration = 0.04
+        # round r holds task ids r * n_workers onward, pinned from each
+        # task's (start, end) stamps with no timing tolerance: no task of a
+        # round starts before every task of the one before it has ended,
+        # and within a round every task starts before any of them ends
+        stamps = {}
         with gp.WorkerPool(gp.EngineConfig(n_workers)) as pool:
-            tasks = [SleepTask(i, duration) for i in range(n_tasks)]
-            start = time.perf_counter()
-            pool.delegate(tasks)
-            wall = time.perf_counter() - start
-        expected = gp.rounds_required(n_tasks, n_workers) * duration
-        assert wall == pytest.approx(expected, rel=0.25)
+            pool.delegate([StampTask(i, 0.1, stamps) for i in range(n_tasks)])
+        assert sorted(stamps) == list(range(n_tasks))
+        rounds = [range(first, min(first + n_workers, n_tasks))
+                  for first in range(0, n_tasks, n_workers)]
+        assert len(rounds) == gp.rounds_required(n_tasks, n_workers)
+        for before, after in zip(rounds, rounds[1:]):
+            ended = max(stamps[i][1] for i in before)
+            assert all(stamps[i][0] >= ended for i in after)
+        for tasks in rounds:
+            assert (max(stamps[i][0] for i in tasks)
+                    < min(stamps[i][1] for i in tasks))
 
     def test_rounds_are_barriers(self):
         # 20 tasks over 7 workers: round r holds task ids 7r .. 7r + 6, and

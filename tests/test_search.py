@@ -9,6 +9,7 @@ import gliderplan.search
 from gliderplan.ocean import MODES
 from conftest import (EXAMPLE_MISSION, all_edges, benchmark_missions,
                       explicit_graph)
+from oracle import brute_force_plan
 
 
 def make_instance(seed):
@@ -126,7 +127,7 @@ class TestPlanBasics:
         env = gp.FlowEnvironment.still()
         profiles = [gp.DiveProfile(0.0, 200.0, 0)]
         res = gp.plan(g, 0.0, profiles, env, veh, integ)
-        bf = gp.brute_force_plan(g, 0.0, profiles, env, veh, integ, max_hops=8)
+        bf = brute_force_plan(g, 0.0, profiles, env, veh, integ, max_hops=8)
         # shortest lattice route: 0.5 axis hop, center diagonal, 0.5 hop
         assert res.total_time == pytest.approx(2 + math.sqrt(2), rel=1e-9)
         assert res.arrival == bf.arrival
@@ -237,8 +238,8 @@ class TestFamilies:
     def test_brute_force_flies_every_profile_alone(self):
         g, t0, profiles, env, veh, integ = make_instance(3)
         calls = []
-        gp.brute_force_plan(g, t0, profiles, env, veh, integ,
-                            recording(gp.serial_evaluator, calls), max_hops=4)
+        brute_force_plan(g, t0, profiles, env, veh, integ,
+                         recording(gp.serial_evaluator, calls), max_hops=4)
         flown = [task.family.profiles for tasks, _times in calls
                  for task in tasks]
         assert calls
@@ -252,7 +253,7 @@ class TestBruteForce:
         profiles = [gp.DiveProfile(0.0, 200.0, 0)]
         env = gp.FlowEnvironment.still()
         a = gp.plan(g, 0.0, profiles, env, veh, integ)
-        b = gp.brute_force_plan(g, 0.0, profiles, env, veh, integ)
+        b = brute_force_plan(g, 0.0, profiles, env, veh, integ)
         assert a.arrival == b.arrival
         assert a.legs == b.legs
 
@@ -264,8 +265,8 @@ class TestBruteForce:
         gp.insert_terminal(g, 1.0, 0.5, "goal")
         env = gp.FlowEnvironment.uniform(0.3, 0.0)
         profiles = [gp.DiveProfile(0.0, 200.0, 0)]
-        res = gp.brute_force_plan(g, 0.0, profiles, env, veh, integ,
-                                  max_hops=6)
+        res = brute_force_plan(g, 0.0, profiles, env, veh, integ,
+                               max_hops=6)
         # eastbound straight line with tailwind: t = 1.0 / 0.8
         assert res.arrival == pytest.approx(1.0 / 0.8, abs=3 * integ.dt)
 
@@ -273,8 +274,8 @@ class TestBruteForce:
         g = two_node_graph()
         env = gp.FlowEnvironment.uniform(-0.5, -0.5)
         with pytest.raises(gp.NoPathError):
-            gp.brute_force_plan(g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
-                                env, veh, integ)
+            brute_force_plan(g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
+                             env, veh, integ)
 
 
 class TestOptimalityOracle:
@@ -282,8 +283,8 @@ class TestOptimalityOracle:
         for inst in fifo_instances(25, start_seed=100):
             g, t0, profiles, env, veh, integ = inst
             a = gp.plan(g, t0, profiles, env, veh, integ)
-            b = gp.brute_force_plan(g, t0, profiles, env, veh, integ,
-                                    max_hops=8)
+            b = brute_force_plan(g, t0, profiles, env, veh, integ,
+                                 max_hops=8)
             assert abs(a.arrival - b.arrival) <= 1e-9
 
     def test_collapsed_plan_matches_brute_force_over_every_profile(self):
@@ -301,8 +302,8 @@ class TestOptimalityOracle:
             if not fifo_holds(g, t0, profiles, env, veh, integ):
                 continue
             a = gp.plan(g, t0, profiles, env, veh, integ)
-            b = gp.brute_force_plan(g, t0, profiles, env, veh, integ,
-                                    max_hops=8)
+            b = brute_force_plan(g, t0, profiles, env, veh, integ,
+                                 max_hops=8)
             assert abs(a.arrival - b.arrival) <= 1e-9
             if a.node_sequence() == b.node_sequence():
                 assert a.legs == b.legs
@@ -325,6 +326,32 @@ def outcome(plan_fn, inst):
         return repr(plan_fn(*inst))
     except gp.NoPathError as exc:
         return repr(exc)
+
+
+@st.composite
+def flow_environments(draw):
+    """A FlowEnvironment in any flow mode, with uniform currents up to 0.8
+    along each axis."""
+    jet = gp.JetParams(B0=draw(st.floats(0.1, 2.0)),
+                       epsilon=draw(st.floats(0.0, 1.0)),
+                       omega=draw(st.floats(-1.0, 1.0)),
+                       k=draw(st.floats(0.1, 2.0)),
+                       c=draw(st.floats(-1.0, 1.0)))
+    surface = gp.SurfaceCurrentParams(W0=draw(st.floats(-1.0, 1.0)),
+                                      d=draw(st.floats(-3.0, 3.0)),
+                                      z_decay=draw(st.floats(5.0, 60.0)))
+    return gp.FlowEnvironment(jet, surface, draw(st.sampled_from(MODES)),
+                              draw(st.floats(-0.8, 0.8)),
+                              draw(st.floats(-0.8, 0.8)))
+
+
+@st.composite
+def vehicles(draw):
+    """VehicleParams with v_bf from 0.2 to 1.5, often 0.5, so that some
+    currents outrun the vehicle."""
+    return gp.VehicleParams(v_bf=draw(st.one_of(st.just(0.5),
+                                                st.floats(0.2, 1.5))),
+                            w_vert=draw(st.floats(50.0, 200.0)))
 
 
 @st.composite
@@ -364,23 +391,11 @@ def small_missions(draw, start_near_a_node=False):
             # a terminal a subnormal distance from a grid node, which
             # Graph.edge refuses, or one an ulp outside the box
             reject()
-    jet = gp.JetParams(B0=draw(st.floats(0.1, 2.0)),
-                       epsilon=draw(st.floats(0.0, 1.0)),
-                       omega=draw(st.floats(-1.0, 1.0)),
-                       k=draw(st.floats(0.1, 2.0)),
-                       c=draw(st.floats(-1.0, 1.0)))
-    surface = gp.SurfaceCurrentParams(W0=draw(st.floats(-1.0, 1.0)),
-                                      d=draw(st.floats(-3.0, 3.0)),
-                                      z_decay=draw(st.floats(5.0, 60.0)))
-    env = gp.FlowEnvironment(jet, surface, draw(st.sampled_from(MODES)),
-                             draw(st.floats(-0.8, 0.8)),
-                             draw(st.floats(-0.8, 0.8)))
+    env = draw(flow_environments())
     profiles = gp.generate_dive_profiles(gp.DiveProfileParams(
         0.0, 200.0, 40.0, 50.0, draw(st.integers(1, 3)),
         draw(st.integers(1, 3))))
-    veh = gp.VehicleParams(v_bf=draw(st.one_of(st.just(0.5),
-                                               st.floats(0.2, 1.5))),
-                           w_vert=draw(st.floats(50.0, 200.0)))
+    veh = draw(vehicles())
     integ = gp.IntegrationParams(
         dt=draw(st.sampled_from([0.02, 0.05, 0.1, 0.25, 1.0])))
     t0 = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
@@ -575,4 +590,119 @@ class TestBounds:
     @settings(max_examples=100, deadline=None)
     @given(inst=small_missions(start_near_a_node=True))
     def test_start_ulps_from_a_grid_node_plans_as_h_zero(self, inst):
+        assert outcome(gp.plan, inst) == outcome(plan_without_bound, inst)
+
+
+@st.composite
+def lattice_specs(draw):
+    """A GridSpec of at most 12 x 12 nodes, its corner up to 1e6 from the
+    origin and h from 1e-8 to 3, so that rounding moves the node
+    coordinates by up to a large share of h; sector_order 1-4, so nx and ny
+    are often at most 2 * sector_order."""
+    def corner():
+        return draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6),
+                              st.sampled_from([-1e6, 1e6 - 1.0, 1e6])))
+
+    h = 10.0 ** draw(st.floats(-8.0, 0.5))
+    x_min, y_min = corner(), corner()
+    # half a step past the last node, so rounding keeps the node count
+    x_max = x_min + (draw(st.integers(1, 11)) + 0.5) * h
+    y_max = y_min + (draw(st.integers(1, 11)) + 0.5) * h
+    try:
+        return gp.GridSpec(x_min, x_max, y_min, y_max, h,
+                           draw(st.integers(1, 4)))
+    except gp.ParameterError:
+        reject()
+
+
+def lattice_legs(g, tails):
+    """(tail id, head id, ex, ey) of every lattice edge out of tails."""
+    nodes, n_lattice = g.nodes, math.prod(g.shape)
+    for n in tails:
+        _, x, y = nodes[n]
+        for m in g.heads(n):
+            if m < n_lattice:
+                _, mx, my = nodes[m]
+                yield n, m, mx - x, my - y
+
+
+def far_lattice_instance(turn=0.0):
+    """A lattice-uniform-like mission 1e6 east and 1e6 south of the
+    origin: at h = 0.1 rounding moves a lattice leg by about 1e-10, a
+    relative 1e-9 of the leg, far more than lb's shrink of 5e-13."""
+    spec = gp.GridSpec(1e6, 1e6 + 2.0, -1e6, -1e6 + 1.2, 0.1, 3)
+    g = gp.build_grid(spec)
+    gp.insert_terminal(g, 1e6 + 0.15, -1e6 + 0.55, "start")
+    gp.insert_terminal(g, 1e6 + 1.85, -1e6 + 0.65, "goal")
+    c, s = math.cos(turn), math.sin(turn)
+    env = gp.FlowEnvironment.uniform(0.15 * c - 0.05 * s,
+                                     0.15 * s + 0.05 * c)
+    return (g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)], env,
+            gp.VehicleParams(v_bf=0.5, w_vert=100.0),
+            gp.IntegrationParams(dt=1.0))
+
+
+class TestLatticeTable:
+    """plan() reads a lattice edge's lb from a per-offset table
+    (search._lattice_bounds), which is at most the bound of the edge's own
+    leg, and so at most its flight time (TestBounds)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=lattice_specs(), env=flow_environments(), veh=vehicles())
+    @example(spec=gp.GridSpec(1e6 - 0.55, 1e6, -1e6, -1e6 + 0.25, 0.1, 4),
+             env=gp.FlowEnvironment.uniform(0.8, 0.0),
+             veh=gp.VehicleParams(v_bf=0.5))
+    def test_table_is_at_most_each_edges_own_bound(self, spec, env, veh):
+        try:
+            g = gp.build_grid(spec)
+        except gp.ParameterError:
+            reject()  # lattice points that rounding collapses
+        bound = gliderplan.search._leg_bound(env, veh,
+                                             gliderplan.search._LEG_SHRINK)
+        table = gliderplan.search._lattice_bounds(g, bound)
+        for n, m, ex, ey in lattice_legs(g, range(len(g.nodes))):
+            assert table[m - n] <= bound(ex, ey)
+
+    def test_table_holds_at_the_node_cap_far_from_the_origin(self):
+        # h as small as MAX_NODES allows on a 1,999-wide box at 1e6; its
+        # tails checked near each corner and at a stride between them
+        spec = gp.GridSpec(1e6 - 1999.0, 1e6, 1e6 - 0.0041, 1e6, 0.004, 3)
+        nx, ny = spec.shape
+        assert gp.grid.MAX_NODES - 1000 < nx * ny <= gp.grid.MAX_NODES
+        g = gp.build_grid(spec)
+        env = gp.FlowEnvironment.uniform(0.15, 0.05)
+        veh = gp.VehicleParams()
+        bound = gliderplan.search._leg_bound(env, veh,
+                                             gliderplan.search._LEG_SHRINK)
+        table = gliderplan.search._lattice_bounds(g, bound)
+        assert 0.0 < min(table.values())
+        tails = set(range(0, nx * ny, 997))
+        for j in range(ny):
+            tails.update(range(j * nx, j * nx + 4))
+            tails.update(range((j + 1) * nx - 4, (j + 1) * nx))
+        for n, m, ex, ey in lattice_legs(g, sorted(tails)):
+            assert table[m - n] <= bound(ex, ey)
+
+    def test_graphs_build_grid_did_not_make_have_no_table(self):
+        spec = gp.GridSpec(0, 1, 0, 1, 0.5, 1)
+        lattice = gp.build_grid(spec)
+        g = explicit_graph(spec, [(n.x, n.y) for n in lattice.nodes],
+                           {0: [1, 4]}, 0, 4)
+        bound = gliderplan.search._leg_bound(gp.FlowEnvironment.still(),
+                                             gp.VehicleParams(),
+                                             gliderplan.search._LEG_SHRINK)
+        assert gliderplan.search._lattice_bounds(lattice, bound)
+        assert gliderplan.search._lattice_bounds(g, bound) == {}
+
+    @pytest.mark.parametrize("turn", [0.0, 0.5 * math.pi, math.pi,
+                                      1.5 * math.pi])
+    def test_far_lattice_plans_as_h_zero(self, turn):
+        inst = far_lattice_instance(turn)
+        g, _t0, _profiles, env, veh, _integ = inst
+        bound = gliderplan.search._leg_bound(env, veh,
+                                             gliderplan.search._LEG_SHRINK)
+        table = gliderplan.search._lattice_bounds(g, bound)
+        nx = g.shape[0]
+        for di, dj in g.offsets:
+            assert 0.0 < table[dj * nx + di] < bound(di * 0.1, dj * 0.1)
         assert outcome(gp.plan, inst) == outcome(plan_without_bound, inst)
