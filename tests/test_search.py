@@ -626,6 +626,13 @@ def lattice_legs(g, tails):
                 yield n, m, mx - x, my - y
 
 
+def edge_bound(env, veh):
+    """The per-edge lb plan() keys a candidate on, as a function of the
+    edge's leg (ex, ey)."""
+    return gliderplan.search._leg_bound(env, veh,
+                                        gliderplan.search._LEG_SHRINK)
+
+
 def far_lattice_instance(turn=0.0):
     """A lattice-uniform-like mission 1e6 east and 1e6 south of the
     origin: at h = 0.1 rounding moves a lattice leg by about 1e-10, a
@@ -657,8 +664,7 @@ class TestLatticeTable:
             g = gp.build_grid(spec)
         except gp.ParameterError:
             reject()  # lattice points that rounding collapses
-        bound = gliderplan.search._leg_bound(env, veh,
-                                             gliderplan.search._LEG_SHRINK)
+        bound = edge_bound(env, veh)
         table = gliderplan.search._lattice_bounds(g, bound)
         for n, m, ex, ey in lattice_legs(g, range(len(g.nodes))):
             assert table[m - n] <= bound(ex, ey)
@@ -672,8 +678,7 @@ class TestLatticeTable:
         g = gp.build_grid(spec)
         env = gp.FlowEnvironment.uniform(0.15, 0.05)
         veh = gp.VehicleParams()
-        bound = gliderplan.search._leg_bound(env, veh,
-                                             gliderplan.search._LEG_SHRINK)
+        bound = edge_bound(env, veh)
         table = gliderplan.search._lattice_bounds(g, bound)
         assert 0.0 < min(table.values())
         tails = set(range(0, nx * ny, 997))
@@ -688,9 +693,7 @@ class TestLatticeTable:
         lattice = gp.build_grid(spec)
         g = explicit_graph(spec, [(n.x, n.y) for n in lattice.nodes],
                            {0: [1, 4]}, 0, 4)
-        bound = gliderplan.search._leg_bound(gp.FlowEnvironment.still(),
-                                             gp.VehicleParams(),
-                                             gliderplan.search._LEG_SHRINK)
+        bound = edge_bound(gp.FlowEnvironment.still(), gp.VehicleParams())
         assert gliderplan.search._lattice_bounds(lattice, bound)
         assert gliderplan.search._lattice_bounds(g, bound) == {}
 
@@ -699,8 +702,7 @@ class TestLatticeTable:
     def test_far_lattice_plans_as_h_zero(self, turn):
         inst = far_lattice_instance(turn)
         g, _t0, _profiles, env, veh, _integ = inst
-        bound = gliderplan.search._leg_bound(env, veh,
-                                             gliderplan.search._LEG_SHRINK)
+        bound = edge_bound(env, veh)
         table = gliderplan.search._lattice_bounds(g, bound)
         nx = g.shape[0]
         for di, dj in g.offsets:
