@@ -5,6 +5,17 @@ coprime lattice offset with Chebyshev radius <= sector_order, giving a
 distinct edge heading per ring (32 directions for order 3). Start/goal
 terminals are inserted off-lattice and linked to nearby grid nodes.
 
+insert_terminal reads only the lattice window that can hold a link, and
+the window is exact. build_grid makes each column's x and each row's y
+once, so node (i, j) has x = nodes[i].x and y = nodes[j * nx].y, bit for
+bit, and both never decrease as i or j grows. A link passes
+0 < hypot(node.x - x, node.y - y) <= radius, and hypot, within an ulp of
+the exact value, is never below either of its arguments: a linked node has
+|fl(node.x - x)| <= radius and |fl(node.y - y)| <= radius. fl(v - x)
+never decreases as v grows, so two bisections on it find exactly the
+columns that pass the first test, and two more the rows that pass the
+second. No node outside that window can link, with no margin to argue.
+
 The graph stores no edges. A node's out-neighbours follow from the offset
 table and the box (Graph.heads), and Graph.edge, the one edge formula,
 makes an edge from its two nodes when a reader wants it: the search makes
@@ -13,7 +24,9 @@ only the edges it flies.
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from math import hypot
 from typing import NamedTuple
 
@@ -85,9 +98,9 @@ class Edge(NamedTuple):
 # (see there).
 MIN_EDGE_LENGTH = sys.float_info.min
 
-# Builds an Edge from a field tuple, skipping the named tuple's generated
-# Python __new__ and its frame.
-_edge = tuple.__new__
+# Builds a Node or an Edge from a field tuple, skipping the named tuple's
+# generated Python __new__ and its frame.
+_new = tuple.__new__
 
 
 class Graph:
@@ -144,7 +157,7 @@ class Graph:
             what = "zero-length" if length == 0.0 else "subnormal-length"
             raise ParameterError("%s edge %d -> %d at (%g, %g)"
                                  % (what, a, b, ax, ay))
-        return _edge(Edge, (a, b, ax, ay, length, ex / length, ey / length))
+        return _new(Edge, (a, b, ax, ay, length, ex / length, ey / length))
 
     def n_edges(self):
         return sum(len(self.heads(a)) for a in range(len(self.nodes)))
@@ -188,8 +201,8 @@ def build_grid(spec):
     # each column's x and each row's y is made once, and its nodes share it
     xs = [spec.x_min + i * spec.h for i in range(nx)]
     ys = [spec.y_min + j * spec.h for j in range(ny)]
-    g.nodes = [Node(j * nx + i, x, y)
-               for j, y in enumerate(ys) for i, x in enumerate(xs)]
+    g.nodes = list(map(_new, repeat(Node), zip(
+        range(nx * ny), xs * ny, [y for y in ys for _ in xs])))
     for i in range(nx - 1):
         g.edge(i, i + 1)
     for j in range(ny - 1):
@@ -201,15 +214,25 @@ def build_grid(spec):
 def insert_terminal(g, x, y, role):
     """Add a start or goal node at (x, y), linked both ways to all grid
     nodes within Euclidean radius sector_order * h (coincident nodes are
-    skipped). Returns the new node id."""
+    skipped), in ascending id order. Returns the new node id.
+
+    Only the lattice window that can hold a link is read (see the module
+    doc), so g must be a build_grid lattice; any other graph is refused."""
     spec = g.spec
     if not (spec.x_min <= x <= spec.x_max and spec.y_min <= y <= spec.y_max):
         raise ParameterError("terminal (%g, %g) outside the bounding box" % (x, y))
     if role not in ("start", "goal"):
         raise ParameterError("terminal role must be 'start' or 'goal'")
+    if not g.lattice:
+        raise ParameterError("insert_terminal needs a build_grid lattice")
+    nodes, (nx, ny) = g.nodes, g.shape
     radius = spec.sector_order * spec.h
-    near = [node.id for node in g.nodes[:math.prod(g.shape)]
-            if 0.0 < math.hypot(node.x - x, node.y - y) <= radius]
+    # the window's rows in ascending order, each row's columns ascending:
+    # ids come out ascending, as a scan of every node gives them
+    cols = _window(nx, lambda i: nodes[i].x - x, radius)
+    near = [n.id for j in _window(ny, lambda j: nodes[j * nx].y - y, radius)
+            for n in nodes[j * nx + cols.start:j * nx + cols.stop]
+            if 0.0 < hypot(n.x - x, n.y - y) <= radius]
     if not near:
         raise ParameterError("no grid node within radius of terminal (%g, %g)" % (x, y))
     tid = len(g.nodes)
@@ -231,6 +254,13 @@ def insert_terminal(g, x, y, role):
     else:
         g.goal_id = tid
     return tid
+
+
+def _window(n, key, radius):
+    """The indices i of range(n) with -radius <= key(i) <= radius, for a
+    key that never decreases as i grows."""
+    return range(bisect_left(range(n), -radius, key=key),
+                 bisect_right(range(n), radius, key=key))
 
 
 def degree_histogram(g):

@@ -1,6 +1,19 @@
-"""The brute-force test oracle for gliderplan.search.plan."""
+"""Brute-force test oracles: for gliderplan.search.plan, and for the
+links gliderplan.grid.insert_terminal makes."""
+
+import math
 
 import gliderplan as gp
+
+
+def terminal_links(g, x, y):
+    """Ids of the lattice nodes of g that a terminal at (x, y) links to:
+    every one within Euclidean radius sector_order * h but not on it, by a
+    scan of them all, in id order. The reference for insert_terminal's
+    lattice window."""
+    radius = g.spec.sector_order * g.spec.h
+    return [node.id for node in g.nodes[:math.prod(g.shape)]
+            if 0.0 < math.hypot(node.x - x, node.y - y) <= radius]
 
 
 def brute_force_plan(g, t0, profiles, env, veh, integ, evaluator=None,

@@ -2,9 +2,7 @@
 
 import math
 import random
-import statistics
 import time
-from dataclasses import dataclass
 
 import pytest
 
@@ -13,22 +11,13 @@ from gliderplan.cli import main
 from conftest import (EXAMPLE_MISSION, adverse_surface_time, fly, jet_core_y,
                       straight_edge)
 from oracle import brute_force_plan
+from test_engine import rounds_hold, stamped_delegate
 from test_search import fifo_instances
 
 
 def report(name, ok):
     print("ACCEPTANCE %-28s %s" % (name, "PASS" if ok else "FAIL"))
     assert ok
-
-
-@dataclass(frozen=True)
-class SleepTask:
-    task_id: int
-    duration: float
-
-    def run(self):
-        time.sleep(self.duration)
-        return self.task_id
 
 
 def test_criterion_1_dive_profile_count():
@@ -57,31 +46,13 @@ def test_criterion_2_delegation_rounds():
 
 
 def test_criterion_3_speedup_step_structure():
-    duration = 0.05
+    # 20 tasks over k workers run in rounds_required(20, k) barrier rounds,
+    # pinned from per-task stamps with no timing tolerance, one delegate
+    # call per k; 20 and 47 workers both take one round
     n_tasks = 20
     sweep_start = time.perf_counter()
-
-    def measure(k, repeat=3):
-        # medians of repeats, matching the bench harness protocol
-        samples = []
-        for _ in range(repeat):
-            with gp.WorkerPool(gp.EngineConfig(k)) as pool:
-                tasks = [SleepTask(i, duration) for i in range(n_tasks)]
-                t0 = time.perf_counter()
-                pool.delegate(tasks)
-                samples.append(time.perf_counter() - t0)
-        return statistics.median(samples)
-
-    ok = True
-    for k in range(1, 25):
-        wall = measure(k)
-        expected = gp.rounds_required(n_tasks, k) * duration
-        if abs(wall - expected) / expected > 0.20:
-            ok = False
-    wall_20 = measure(20)
-    wall_47 = measure(47)
-    if abs(wall_47 - wall_20) / wall_20 > 0.10:
-        ok = False
+    ok = all(rounds_hold(stamped_delegate(n_tasks, k, 0.05), n_tasks, k)
+             for k in list(range(1, 25)) + [47])
     if time.perf_counter() - sweep_start > 120:
         ok = False
     report("3 speedup step structure", ok)

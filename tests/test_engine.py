@@ -34,6 +34,33 @@ class StampTask:
         self.stamps[self.task_id] = (start, time.perf_counter())
 
 
+def stamped_delegate(n_tasks, n_workers, duration):
+    """Each task's (start, end) stamps, by task id, from one delegate call
+    of n_tasks StampTasks of duration seconds over n_workers workers."""
+    stamps = {}
+    with gp.WorkerPool(gp.EngineConfig(n_workers)) as pool:
+        pool.delegate([StampTask(i, duration, stamps)
+                       for i in range(n_tasks)])
+    return stamps
+
+
+def rounds_hold(stamps, n_tasks, n_workers):
+    """Whether the stamps show rounds_required(n_tasks, n_workers) barrier
+    rounds, round r holding task ids r * n_workers onward, with no timing
+    tolerance: every task ran, no task of a round starts before every task
+    of the one before it has ended, and within a round every task starts
+    before any of them ends."""
+    rounds = [range(first, min(first + n_workers, n_tasks))
+              for first in range(0, n_tasks, n_workers)]
+    return (sorted(stamps) == list(range(n_tasks))
+            and len(rounds) == gp.rounds_required(n_tasks, n_workers)
+            and all(min(stamps[i][0] for i in after)
+                    >= max(stamps[i][1] for i in before)
+                    for before, after in zip(rounds, rounds[1:]))
+            and all(max(stamps[i][0] for i in tasks)
+                    < min(stamps[i][1] for i in tasks) for tasks in rounds))
+
+
 @dataclass(frozen=True)
 class FailTask:
     task_id: int
@@ -233,23 +260,9 @@ class TestDelegate:
 
     @pytest.mark.parametrize("n_tasks,n_workers", [(20, 5), (20, 7), (20, 20)])
     def test_round_structure_timing(self, n_tasks, n_workers):
-        # round r holds task ids r * n_workers onward, pinned from each
-        # task's (start, end) stamps with no timing tolerance: no task of a
-        # round starts before every task of the one before it has ended,
-        # and within a round every task starts before any of them ends
-        stamps = {}
-        with gp.WorkerPool(gp.EngineConfig(n_workers)) as pool:
-            pool.delegate([StampTask(i, 0.1, stamps) for i in range(n_tasks)])
-        assert sorted(stamps) == list(range(n_tasks))
-        rounds = [range(first, min(first + n_workers, n_tasks))
-                  for first in range(0, n_tasks, n_workers)]
-        assert len(rounds) == gp.rounds_required(n_tasks, n_workers)
-        for before, after in zip(rounds, rounds[1:]):
-            ended = max(stamps[i][1] for i in before)
-            assert all(stamps[i][0] >= ended for i in after)
-        for tasks in rounds:
-            assert (max(stamps[i][0] for i in tasks)
-                    < min(stamps[i][1] for i in tasks))
+        # the rounds pinned from each task's (start, end) stamps
+        stamps = stamped_delegate(n_tasks, n_workers, 0.1)
+        assert rounds_hold(stamps, n_tasks, n_workers)
 
     def test_rounds_are_barriers(self):
         # 20 tasks over 7 workers: round r holds task ids 7r .. 7r + 6, and

@@ -2,10 +2,12 @@ import math
 import sys
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 import gliderplan as gp
-from conftest import LATTICE_MISSION, all_edges, straight_edge
+from conftest import LATTICE_MISSION, all_edges, explicit_graph, straight_edge
 from gliderplan.grid import MAX_NODES, degree_histogram, graph_stats_rows
+from oracle import terminal_links
 
 
 def interior_id(g, spec):
@@ -168,12 +170,10 @@ class TestExactGeometry:
         g = self.with_terminals(spec)
         sid, gid = g.start_id, g.goal_id
         n_grid = math.prod(spec.shape)
-        radius = spec.sector_order * spec.h
         near = {}
         for tid in (sid, gid):
             t = g.nodes[tid]
-            near[tid] = [n for n in g.nodes[:n_grid]
-                         if 0.0 < math.hypot(n.x - t.x, n.y - t.y) <= radius]
+            near[tid] = [g.nodes[b] for b in terminal_links(g, t.x, t.y)]
             assert near[tid]
             assert g.adj[tid] == [straight_edge(t.x, t.y, n.x, n.y, tid, n.id)
                                   for n in near[tid]]
@@ -321,6 +321,158 @@ class TestInsertTerminal:
         g = gp.build_grid(gp.GridSpec(0, 2, 0, 2, 0.5, 1))
         with pytest.raises(gp.ParameterError):
             gp.insert_terminal(g, 1.0, 1.0, "midpoint")
+
+
+@st.composite
+def terminal_lattices(draw):
+    """A build_grid lattice and a point in its box for each terminal.
+    Corners up to 1e6 from the origin, or up to 6 h below it, so that a
+    node and a terminal can lie on either side of 0, where v - x rounds.
+    One axis has up to 1,000 nodes, as many as MAX_NODES allows a square
+    box, the other up to 12. h is from 1e-8 to 3, or 1-16 ulps of the
+    corners' magnitude, where rounding spaces the nodes unevenly or
+    collapses them; sector_order 1-4. Each coordinate is anywhere in the
+    box, on its edge, on a node's column or row, or sector_order * h from
+    one of the 8 nodes nearest either end of the axis, give or take 2
+    ulps."""
+    def corner():
+        # None: up to 6 h below the origin, once h is drawn
+        return draw(st.one_of(st.just(0.0), st.just(None),
+                              st.floats(-1e6, 1e6),
+                              st.sampled_from([-1e6, 1e6 - 1.0, 1e6])))
+
+    corners = corner(), corner()
+    ulp = math.ulp(max(abs(c or 0.0) for c in corners + (1.0,)))
+    h = draw(st.one_of(st.floats(-8.0, 0.5).map(lambda e: 10.0 ** e),
+                       st.integers(1, 16).map(lambda k: k * ulp)))
+    x_min, y_min = (-draw(st.floats(0.0, 6.0)) * h if c is None else c
+                    for c in corners)
+    long, short = draw(st.integers(1, 999)), draw(st.integers(1, 11))
+    steps = (long, short) if draw(st.booleans()) else (short, long)
+    try:
+        # half a step past the last node, so rounding keeps the node count
+        g = gp.build_grid(gp.GridSpec(
+            x_min, x_min + (steps[0] + 0.5) * h,
+            y_min, y_min + (steps[1] + 0.5) * h, h, draw(st.integers(1, 4))))
+    except gp.ParameterError:
+        reject()  # lattice points that rounding collapses
+    nx, ny = g.shape
+    radius = g.spec.sector_order * h
+
+    def coordinate(lo, hi, lattice):
+        v = draw(st.one_of(
+            st.floats(lo, hi), st.sampled_from([lo, hi]),
+            st.sampled_from(lattice),
+            st.tuples(st.sampled_from(lattice[:8] + lattice[-8:]),
+                      st.sampled_from([-1, 1]),
+                      st.integers(-2, 2)).map(
+                lambda t: t[0] + t[1] * radius + t[2] * math.ulp(t[0]))))
+        return min(max(v, lo), hi)
+
+    xs = [node.x for node in g.nodes[:nx]]
+    ys = [g.nodes[j * nx].y for j in range(ny)]
+    return g, [(coordinate(g.spec.x_min, g.spec.x_max, xs),
+                coordinate(g.spec.y_min, g.spec.y_max, ys))
+               for _ in range(2)]
+
+
+def link_like_the_full_scan(g, points):
+    """Insert a start and a goal at points and check each terminal's links
+    against the oracle's scan of every lattice node."""
+    for (x, y), role in zip(points, ("start", "goal")):
+        expected = terminal_links(g, x, y)
+        try:
+            tid = gp.insert_terminal(g, x, y, role)
+        except gp.ParameterError as exc:
+            # no node within radius, which the scan finds too, or a link
+            # that Graph.edge refuses
+            assert not expected or "subnormal-length edge" in str(exc)
+            continue
+        assert g.links[tid] == expected
+        assert all(g.links[b][-1] == tid for b in expected)
+    if g.start_id is not None and g.goal_id is not None:
+        assert g.start_id not in g.links[g.goal_id]
+
+
+class CountingNodes(list):
+    """A node list that counts the nodes read from it: by index, by slice
+    and by iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        got = super().__getitem__(i)
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+    def __iter__(self):
+        for node in super().__iter__():
+            self.reads += 1
+            yield node
+
+
+class TestTerminalWindow:
+    """insert_terminal reads only the lattice window that can hold a link,
+    and links exactly the nodes a scan of every lattice node links."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(inst=terminal_lattices())
+    @example(inst=(gp.build_grid(gp.GridSpec(0, 8, 0, 8, 1.0, 3)),
+                   [(4.0, 4.0), (1.0, 4.0)]))
+    @example(inst=(gp.build_grid(gp.GridSpec(0, 0.7, 0, 0.5, 0.1, 3)),
+                   [(0.0, 0.5), (0.7, 0.2)]))
+    @example(inst=(gp.build_grid(gp.GridSpec(
+        -0.5124744385752686, 0.17720025467617428, -2.709264851142337,
+        -2.425281153921155, 0.08113819920605211, 1)),
+        [(0.05549295586709616, -2.465850253524181), (0.1, -2.5)]))
+    def test_links_equal_the_full_scan(self, inst):
+        g, points = inst
+        link_like_the_full_scan(g, points)
+
+    def test_links_equal_the_full_scan_at_the_node_cap(self):
+        # h as small as MAX_NODES allows on a 1,999-wide box at 1e6: a
+        # start on a node, a goal sector_order * h along x from one
+        spec = gp.GridSpec(1e6 - 1999.0, 1e6, 1e6 - 0.0041, 1e6, 0.004, 3)
+        nx, ny = spec.shape
+        assert MAX_NODES - 1000 < nx * ny <= MAX_NODES
+        g = gp.build_grid(spec)
+        on_node, along_x = g.nodes[nx + 1234], g.nodes[nx - 7]
+        link_like_the_full_scan(g, [(on_node.x, on_node.y),
+                                    (along_x.x + 3 * 0.004, along_x.y)])
+        assert g.links[g.start_id] and g.links[g.goal_id]
+
+    @pytest.mark.parametrize("s", [1, 4])
+    def test_reads_at_most_the_axes_and_the_window(self, s):
+        # at most nx + ny + (2 * s + 3) ** 2 node reads, of 100,000 nodes
+        spec = gp.GridSpec(0, 49.875, 0, 31.125, 0.125, s)
+        nx, ny = spec.shape
+        assert nx * ny == 100_000
+        g = gp.build_grid(spec)
+        g.nodes = CountingNodes(g.nodes)
+        points = [(13.37, 20.01), (0.0, 31.125)]
+        for (x, y), role in zip(points, ("start", "goal")):
+            before = g.nodes.reads
+            gp.insert_terminal(g, x, y, role)
+            assert g.nodes.reads - before <= nx + ny + (2 * s + 3) ** 2
+        assert [g.links[tid] for tid in (g.start_id, g.goal_id)] == [
+            terminal_links(g, x, y) for x, y in points]
+
+    @pytest.mark.parametrize("explicit", [False, True],
+                             ids=["empty", "explicit"])
+    def test_graph_build_grid_did_not_make_is_refused(self, explicit):
+        # the window rests on build_grid's shared coordinates, so a graph
+        # without them gets no link, not an IndexError
+        spec = gp.GridSpec(0, 1, 0, 1, 0.5, 1)
+        g = gp.Graph(spec)
+        if explicit:
+            points = [(n.x, n.y) for n in gp.build_grid(spec).nodes]
+            g = explicit_graph(spec, points, {}, None, None)
+        n_nodes = len(g.nodes)
+        with pytest.raises(gp.ParameterError,
+                           match="needs a build_grid lattice"):
+            gp.insert_terminal(g, 0.25, 0.25, "start")
+        assert len(g.nodes) == n_nodes
+        assert g.start_id is None and not g.links
 
 
 class TestStats:
