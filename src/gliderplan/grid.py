@@ -7,33 +7,39 @@ terminals are inserted off-lattice and linked to nearby grid nodes.
 
 insert_terminal reads only the lattice window that can hold a link, and
 the window is exact. build_grid makes each column's x and each row's y
-once, so node (i, j) has x = nodes[i].x and y = nodes[j * nx].y, bit for
-bit, and both never decrease as i or j grows. A link passes
-0 < hypot(node.x - x, node.y - y) <= radius, and hypot, within an ulp of
+once, so node (i, j) has x = xs[i] and y = ys[j * nx], bit for bit, and
+both never decrease as i or j grows. A link passes
+0 < hypot(xs[a] - x, ys[a] - y) <= radius, and hypot, within an ulp of
 the exact value, is never below either of its arguments: a linked node has
-|fl(node.x - x)| <= radius and |fl(node.y - y)| <= radius. fl(v - x)
+|fl(xs[a] - x)| <= radius and |fl(ys[a] - y)| <= radius. fl(v - x)
 never decreases as v grows, so two bisections on it find exactly the
 columns that pass the first test, and two more the rows that pass the
 second. No node outside that window can link, with no margin to argue.
 
-The graph stores no edges. A node's out-neighbours follow from the offset
-table and the box (Graph.heads), and Graph.edge, the one edge formula,
-makes an edge from its two nodes when a reader wants it: the search makes
-only the edges it flies.
+The graph stores no edges and no node objects: node a is at (xs[a],
+ys[a]), two lists indexed by node id. g.nodes makes Node(a, xs[a], ys[a])
+when read, handing out the lists' own float objects with no arithmetic,
+so its coordinates are bit for bit the ones every edge is made from. A
+node's out-neighbours follow from the offset table and the box
+(Graph.heads), and Graph.edge, the one edge formula, makes an edge from
+its two nodes' coordinates when a reader wants it: the search makes only
+the edges it flies.
 """
 
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import hypot
 from typing import NamedTuple
 
 from .errors import ParameterError
 
 # GridSpec refuses a lattice of more nodes, about 240 times the benchmark's
-# 4,133-node lattice: build_grid would make every one of them.
+# 4,133-node lattice: build_grid makes only two coordinate lists, but heads,
+# n_edges and graph_stats_rows still loop over every node.
 MAX_NODES = 1_000_000
 
 
@@ -71,9 +77,9 @@ class GridSpec:
                                   self.y_max - self.y_min))
 
 
-# An Edge is made for every flight of a search; as named tuples Node and
-# Edge cost a fraction of a frozen dataclass to build and to hold. An Edge
-# holds only what a flight and the search read.
+# An Edge is made for every flight of a search, a Node for every read of
+# g.nodes; as named tuples they cost a fraction of a frozen dataclass to
+# build. An Edge holds only what a flight and the search read.
 class Node(NamedTuple):
     id: int
     x: float
@@ -106,15 +112,17 @@ _new = tuple.__new__
 class Graph:
     """The lattice nodes of a spec and the terminals insert_terminal adds.
 
-    A graph stores no edges: only its nodes, the offset table and links,
-    each node's list of terminals it is linked to. heads(a) lists a's
-    out-neighbours, and edge(a, b) makes an edge when it is wanted.
-    Immutable after construction except for terminal insertion."""
+    A graph stores no edges and no node objects: only its node coordinates
+    xs and ys, indexed by node id, the offset table and links, each node's
+    list of terminals it is linked to. heads(a) lists a's out-neighbours,
+    and edge(a, b) makes an edge when it is wanted. Immutable after
+    construction except for terminal insertion."""
 
     def __init__(self, spec):
         self.spec = spec
         self.shape = spec.shape
-        self.nodes = []
+        self.xs = []
+        self.ys = []
         self.offsets = coprime_offsets(spec.sector_order)
         self.links = {}
         self.start_id = None
@@ -139,6 +147,11 @@ class Graph:
         return out
 
     @property
+    def nodes(self):
+        """Read-only view of the nodes (see _Nodes)."""
+        return _Nodes(self)
+
+    @property
     def adj(self):
         """Read-only view of every node's out-edges (see _OutEdges)."""
         return _OutEdges(self)
@@ -149,9 +162,9 @@ class Graph:
         each time, bit for bit. An edge shorter than the smallest normal
         float is refused: below it hypot loses the precision that makes
         (dx, dy) a unit vector."""
-        a, ax, ay = self.nodes[a]
-        b, bx, by = self.nodes[b]
-        ex, ey = bx - ax, by - ay
+        xs, ys = self.xs, self.ys
+        ax, ay = xs[a], ys[a]
+        ex, ey = xs[b] - ax, ys[b] - ay
         length = hypot(ex, ey)
         if length < MIN_EDGE_LENGTH:
             what = "zero-length" if length == 0.0 else "subnormal-length"
@@ -163,6 +176,25 @@ class Graph:
         return sum(len(self.heads(a)) for a in range(len(self.nodes)))
 
 
+class _Nodes(Sequence):
+    """g.nodes: view[a] is Node(a, g.xs[a], g.ys[a]), made when read. It
+    reads as a list does: negative ids count from the end, a slice is a
+    list of nodes, and ids past the last node raise IndexError."""
+
+    def __init__(self, g):
+        self._g = g
+
+    def __len__(self):
+        return len(self._g.xs)
+
+    def __getitem__(self, a):
+        if isinstance(a, slice):
+            return [self[i] for i in range(*a.indices(len(self)))]
+        x = self._g.xs[a]
+        a %= len(self)
+        return _new(Node, (a, x, self._g.ys[a]))
+
+
 class _OutEdges:
     """g.adj: view[a] is a list of a's out-edges, made with Graph.edge in
     heads order each time it is read. Ids past the last node raise
@@ -172,7 +204,7 @@ class _OutEdges:
         self._g = g
 
     def __len__(self):
-        return len(self._g.nodes)
+        return len(self._g.xs)
 
     def __getitem__(self, a):
         a = self._g.nodes[a].id
@@ -201,8 +233,8 @@ def build_grid(spec):
     # each column's x and each row's y is made once, and its nodes share it
     xs = [spec.x_min + i * spec.h for i in range(nx)]
     ys = [spec.y_min + j * spec.h for j in range(ny)]
-    g.nodes = list(map(_new, repeat(Node), zip(
-        range(nx * ny), xs * ny, [y for y in ys for _ in xs])))
+    g.xs = xs * ny
+    g.ys = list(chain.from_iterable(map(repeat, ys, repeat(nx, ny))))
     for i in range(nx - 1):
         g.edge(i, i + 1)
     for j in range(ny - 1):
@@ -225,18 +257,19 @@ def insert_terminal(g, x, y, role):
         raise ParameterError("terminal role must be 'start' or 'goal'")
     if not g.lattice:
         raise ParameterError("insert_terminal needs a build_grid lattice")
-    nodes, (nx, ny) = g.nodes, g.shape
+    xs, ys, (nx, ny) = g.xs, g.ys, g.shape
     radius = spec.sector_order * spec.h
     # the window's rows in ascending order, each row's columns ascending:
     # ids come out ascending, as a scan of every node gives them
-    cols = _window(nx, lambda i: nodes[i].x - x, radius)
-    near = [n.id for j in _window(ny, lambda j: nodes[j * nx].y - y, radius)
-            for n in nodes[j * nx + cols.start:j * nx + cols.stop]
-            if 0.0 < hypot(n.x - x, n.y - y) <= radius]
+    cols = _window(nx, lambda i: xs[i] - x, radius)
+    near = [a for j in _window(ny, lambda j: ys[j * nx] - y, radius)
+            for a in range(j * nx + cols.start, j * nx + cols.stop)
+            if 0.0 < hypot(xs[a] - x, ys[a] - y) <= radius]
     if not near:
         raise ParameterError("no grid node within radius of terminal (%g, %g)" % (x, y))
-    tid = len(g.nodes)
-    g.nodes.append(Node(tid, x, y))
+    tid = len(xs)
+    xs.append(x)
+    ys.append(y)
     # a link and its reverse have the same length, so one edge checks both;
     # all are checked before any is linked, and a refused terminal leaves
     # no node behind
@@ -244,7 +277,8 @@ def insert_terminal(g, x, y, role):
         for b in near:
             g.edge(tid, b)
     except ParameterError:
-        g.nodes.pop()
+        xs.pop()
+        ys.pop()
         raise
     for b in near:
         g.links.setdefault(b, []).append(tid)

@@ -217,12 +217,11 @@ def _time_to_goal_bound(g, env, veh):
     doc); on a link at a start closer to a grid node than the rounding of
     h, it need not be."""
     to_goal = _leg_bound(env, veh, _H_SHRINK)
-    nodes = g.nodes
-    _, gx, gy = nodes[g.goal_id]
+    xs, ys = g.xs, g.ys
+    gx, gy = xs[g.goal_id], ys[g.goal_id]
 
     def h(n):
-        _, x, y = nodes[n]
-        return to_goal(gx - x, gy - y)
+        return to_goal(gx - xs[n], gy - ys[n])
 
     return h
 
@@ -260,7 +259,7 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     table = _lattice_bounds(g, bound)
     n_lattice = math.prod(g.shape) if g.lattice else 0
     h = _time_to_goal_bound(g, env, veh)
-    nodes = g.nodes
+    xs, ys = g.xs, g.ys
     inf = math.inf
     heappush = heapq.heappush
     arrival = {start: t0}
@@ -280,7 +279,7 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
             settled.add(n)
             if n == goal:
                 return _reconstruct(pred, start, goal, t0, t)
-            _, x, y = nodes[n]
+            x, y = xs[n], ys[n]
             # heads below lim are lattice nodes, as n is, and read their lb
             # from the table; lim is 0 for a terminal tail
             lim = n_lattice if n < n_lattice else 0
@@ -293,8 +292,7 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
                 if m < lim:
                     lb = table[m - n]
                 else:
-                    _, mx, my = nodes[m]
-                    lb = bound(mx - x, my - y)
+                    lb = bound(xs[m] - x, ys[m] - y)
                 heappush(heap, ((t + lb) + hm, 0, n, m))
             continue
         n, m = a, b

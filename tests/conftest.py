@@ -42,7 +42,8 @@ def explicit_graph(spec, points, heads, start, goal):
     and whose start and goal terminals are the given ids. Its edges are
     made with Graph.edge, as on any graph."""
     g = gp.Graph(spec)
-    g.nodes = [gp.Node(i, x, y) for i, (x, y) in enumerate(points)]
+    g.xs = [x for x, _ in points]
+    g.ys = [y for _, y in points]
     g.heads = lambda a: heads.get(a, [])
     g.start_id, g.goal_id = start, goal
     return g

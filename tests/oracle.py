@@ -1,9 +1,23 @@
-"""Brute-force test oracles: for gliderplan.search.plan, and for the
-links gliderplan.grid.insert_terminal makes."""
+"""Brute-force test oracles: for gliderplan.search.plan, for the links
+gliderplan.grid.insert_terminal makes, and for the nodes
+gliderplan.grid.build_grid's graph reads as."""
 
 import math
+from itertools import repeat
 
 import gliderplan as gp
+
+
+def lattice_nodes(spec):
+    """The lattice nodes of spec as a list of Node tuples, ids row-major
+    from (x_min, y_min), built in one bulk pass with each column's x and
+    each row's y made once. The reference for g.nodes of a build_grid
+    lattice."""
+    nx, ny = spec.shape
+    xs = [spec.x_min + i * spec.h for i in range(nx)]
+    ys = [spec.y_min + j * spec.h for j in range(ny)]
+    return list(map(tuple.__new__, repeat(gp.Node), zip(
+        range(nx * ny), xs * ny, [y for y in ys for _ in xs])))
 
 
 def terminal_links(g, x, y):

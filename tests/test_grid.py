@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, reject, settings, strategies as st
@@ -7,7 +8,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 import gliderplan as gp
 from conftest import LATTICE_MISSION, all_edges, explicit_graph, straight_edge
 from gliderplan.grid import MAX_NODES, degree_histogram, graph_stats_rows
-from oracle import terminal_links
+from oracle import lattice_nodes, terminal_links
 
 
 def interior_id(g, spec):
@@ -92,7 +93,8 @@ class TestBuildGrid:
         spec = gp.GridSpec(-1, 3, -2, 2, 0.4, 3)
         a = gp.build_grid(spec)
         b = gp.build_grid(spec)
-        assert a.nodes == b.nodes
+        assert (a.xs, a.ys) == (b.xs, b.ys)
+        assert list(a.nodes) == list(b.nodes)
         assert all_edges(a) == all_edges(b)
 
     def test_too_small_box_rejected(self):
@@ -394,9 +396,9 @@ def link_like_the_full_scan(g, points):
         assert g.start_id not in g.links[g.goal_id]
 
 
-class CountingNodes(list):
-    """A node list that counts the nodes read from it: by index, by slice
-    and by iteration."""
+class CountingCoordinates(list):
+    """A coordinate list that counts the coordinates read from it: by
+    index, by slice and by iteration."""
 
     reads = 0
 
@@ -406,9 +408,9 @@ class CountingNodes(list):
         return got
 
     def __iter__(self):
-        for node in super().__iter__():
+        for v in super().__iter__():
             self.reads += 1
-            yield node
+            yield v
 
 
 class TestTerminalWindow:
@@ -443,17 +445,19 @@ class TestTerminalWindow:
 
     @pytest.mark.parametrize("s", [1, 4])
     def test_reads_at_most_the_axes_and_the_window(self, s):
-        # at most nx + ny + (2 * s + 3) ** 2 node reads, of 100,000 nodes
+        # at most nx + ny + (2 * s + 3) ** 2 coordinate reads, of 100,000
+        # nodes
         spec = gp.GridSpec(0, 49.875, 0, 31.125, 0.125, s)
         nx, ny = spec.shape
         assert nx * ny == 100_000
         g = gp.build_grid(spec)
-        g.nodes = CountingNodes(g.nodes)
+        g.xs, g.ys = CountingCoordinates(g.xs), CountingCoordinates(g.ys)
         points = [(13.37, 20.01), (0.0, 31.125)]
         for (x, y), role in zip(points, ("start", "goal")):
-            before = g.nodes.reads
+            before = g.xs.reads + g.ys.reads
             gp.insert_terminal(g, x, y, role)
-            assert g.nodes.reads - before <= nx + ny + (2 * s + 3) ** 2
+            assert (g.xs.reads + g.ys.reads - before
+                    <= nx + ny + (2 * s + 3) ** 2)
         assert [g.links[tid] for tid in (g.start_id, g.goal_id)] == [
             terminal_links(g, x, y) for x, y in points]
 
@@ -473,6 +477,63 @@ class TestTerminalWindow:
             gp.insert_terminal(g, 0.25, 0.25, "start")
         assert len(g.nodes) == n_nodes
         assert g.start_id is None and not g.links
+
+
+class TestNodeView:
+    """g.nodes reads as the list of Node tuples of the oracle's bulk build
+    plus the terminals, bit for bit, though the graph keeps only its
+    coordinate lists."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=terminal_lattices(), data=st.data())
+    def test_reads_as_the_oracle_list(self, inst, data):
+        g, points = inst
+        expected = lattice_nodes(g.spec)
+        for (x, y), role in zip(points, ("start", "goal")):
+            try:
+                tid = gp.insert_terminal(g, x, y, role)
+            except gp.ParameterError:
+                continue
+            expected.append(gp.Node(tid, x, y))
+        nodes, n = g.nodes, len(expected)
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits
+        assert repr(list(nodes)) == repr(expected)
+        assert len(nodes) == n
+        a = data.draw(st.integers(-n, -1), label="negative id")
+        assert repr(nodes[a]) == repr(expected[a])
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        window = slice(data.draw(bound, label="start"),
+                       data.draw(bound, label="stop"),
+                       data.draw(st.sampled_from([None, 1, 3, -1, -2]),
+                                 label="step"))
+        assert repr(nodes[window]) == repr(expected[window])
+        for past in (n, -n - 1):
+            with pytest.raises(IndexError):
+                nodes[past]
+        nx = g.shape[0]
+        for node in nodes[:math.prod(g.shape)]:
+            j, i = divmod(node.id, nx)
+            assert node.x is nodes[i].x and node.y is nodes[j * nx].y
+
+    def test_has_no_setter(self):
+        g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))
+        with pytest.raises(AttributeError):
+            g.nodes = lattice_nodes(g.spec)
+
+    def test_build_and_terminals_at_the_node_cap_stay_small(self):
+        # two lists of a million coordinates take about 16 MiB; a million
+        # Node tuples took about 123 MiB
+        spec = gp.GridSpec(0, 399.6, 0, 399.6, 0.4, 3)
+        tracemalloc.start()
+        try:
+            g = gp.build_grid(spec)
+            gp.insert_terminal(g, 123.45, 67.89, "start")
+            gp.insert_terminal(g, 399.6, 0.0, "goal")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(g.nodes) == MAX_NODES + 2
+        assert peak < 24 * 2 ** 20
 
 
 class TestStats:
