@@ -15,7 +15,7 @@ from .cost import solo_families, traverse_edge
 from .engine import EngineConfig, WorkerPool, noop_run, pool_evaluator
 from .errors import ConfigError, NoPathError, ParameterError
 from .grid import build_grid, graph_stats_rows, insert_terminal
-from .mission import parse_mission, write_csv, write_path_xml
+from .mission import _finite, parse_mission, write_csv, write_path_xml
 from .ocean import velocity
 from .profiles import _levels, generate_dive_profiles
 from .search import plan
@@ -59,12 +59,10 @@ def write_plan_outputs(cfg, result, graph, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     write_path_xml(result, os.path.join(out_dir, "path.xml"))
 
-    rows = [(result.t0, graph.nodes[graph.start_id].x,
-             graph.nodes[graph.start_id].y)]
-    for leg in result.legs:
-        t = leg.departure + leg.travel_time
-        node = graph.nodes[leg.to]
-        rows.append((t, node.x, node.y))
+    xs, ys = graph.xs, graph.ys
+    rows = [(result.t0, xs[graph.start_id], ys[graph.start_id])]
+    rows += [(leg.departure + leg.travel_time, xs[leg.to], ys[leg.to])
+             for leg in result.legs]
     write_csv(os.path.join(out_dir, "path.csv"), ("t", "x", "y"), rows)
 
     # every profile alone, indexed by profile index
@@ -142,22 +140,29 @@ def cmd_noop(args):
     return EXIT_OK
 
 
+def _finite_arg(tok, text):
+    """tok, a number in the option value text, as a finite float."""
+    try:
+        return _finite(tok)
+    except ValueError:
+        raise ConfigError("%r in %r is not a finite number"
+                          % (tok.strip(), text))
+
+
 def _linspace(spec_str):
     try:
         lo_s, hi_s, n_s = spec_str.split(":")
-        lo, hi, n = float(lo_s), float(hi_s), int(n_s)
+        n = int(n_s)
     except ValueError:
         raise ConfigError("expected min:max:count, got %r" % spec_str)
     if n < 1:
         raise ConfigError("sample count must be >= 1 in %r" % spec_str)
-    return _levels(lo, hi, n)
+    return _levels(_finite_arg(lo_s, spec_str), _finite_arg(hi_s, spec_str),
+                   n)
 
 
 def _float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError("expected comma-separated numbers, got %r" % text)
+    return [_finite_arg(tok, text) for tok in text.split(",") if tok.strip()]
 
 
 def cmd_field(args):

@@ -7,6 +7,11 @@ threads with private ordered inboxes; all cross-boundary data are
 immutable value messages. An awake worker blocks on its inbox; a sleeping
 worker polls it with a sleep interval between checks, trading latency for
 idle cost.
+
+The workers are threads, so CPython's GIL keeps them from running the
+kernel's Python steps in parallel, and a pool adds delegation cost without
+a speed-up: on a 2-vCPU host with CPython 3.11, a 2-worker pool plan was
+1.07-1.24x slower than a serial one.
 """
 
 import queue

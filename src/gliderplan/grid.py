@@ -127,17 +127,17 @@ class Graph:
         self.links = {}
         self.start_id = None
         self.goal_id = None
-        # build_grid sets it: the first nx * ny nodes are then the spec's
-        # lattice, with the coordinates build_grid gives them
-        self.lattice = False
+        # build_grid sets it to nx * ny: the first n_lattice nodes are then
+        # the spec's lattice, with the coordinates build_grid gives them
+        self.n_lattice = 0
 
     def heads(self, a):
-        """a's out-neighbours: for a lattice node, its neighbours at the
-        table's offsets that lie in the box, in table order; then the
-        terminals it is linked to, in insertion order."""
+        """a's out-neighbours: for a lattice node (a < n_lattice), its
+        neighbours at the table's offsets that lie in the box, in table
+        order; then the terminals it is linked to, in insertion order."""
         nx, ny = self.shape
         out = []
-        if a < nx * ny:
+        if a < self.n_lattice:
             j, i = divmod(a, nx)
             for di, dj in self.offsets:
                 ii, jj = i + di, j + dj
@@ -148,13 +148,15 @@ class Graph:
 
     @property
     def nodes(self):
-        """Read-only view of the nodes (see _Nodes)."""
-        return _Nodes(self)
+        """Read-only view of the nodes: nodes[a] is Node(a, xs[a], ys[a]),
+        made when read (see _View)."""
+        return _View(self, lambda a: _new(Node, (a, self.xs[a], self.ys[a])))
 
     @property
     def adj(self):
-        """Read-only view of every node's out-edges (see _OutEdges)."""
-        return _OutEdges(self)
+        """Read-only view of every node's out-edges: adj[a] is a list of
+        a's edges, made with edge in heads order when read (see _View)."""
+        return _View(self, lambda a: [self.edge(a, b) for b in self.heads(a)])
 
     def edge(self, a, b):
         """The edge a -> b from the node coordinates; the one formula every
@@ -176,39 +178,23 @@ class Graph:
         return sum(len(self.heads(a)) for a in range(len(self.nodes)))
 
 
-class _Nodes(Sequence):
-    """g.nodes: view[a] is Node(a, g.xs[a], g.ys[a]), made when read. It
-    reads as a list does: negative ids count from the end, a slice is a
-    list of nodes, and ids past the last node raise IndexError."""
+class _View(Sequence):
+    """A read-only view of a graph with one item per node: view[a] is
+    item(a), made when read. It reads as a list does: negative ids count
+    from the end, a slice is a list of items, and ids past the last node
+    raise IndexError."""
 
-    def __init__(self, g):
+    def __init__(self, g, item):
         self._g = g
+        self._item = item
 
     def __len__(self):
         return len(self._g.xs)
 
     def __getitem__(self, a):
         if isinstance(a, slice):
-            return [self[i] for i in range(*a.indices(len(self)))]
-        x = self._g.xs[a]
-        a %= len(self)
-        return _new(Node, (a, x, self._g.ys[a]))
-
-
-class _OutEdges:
-    """g.adj: view[a] is a list of a's out-edges, made with Graph.edge in
-    heads order each time it is read. Ids past the last node raise
-    IndexError, so the view iterates node by node."""
-
-    def __init__(self, g):
-        self._g = g
-
-    def __len__(self):
-        return len(self._g.xs)
-
-    def __getitem__(self, a):
-        a = self._g.nodes[a].id
-        return [self._g.edge(a, b) for b in self._g.heads(a)]
+            return [self._item(i) for i in range(len(self))[a]]
+        return self._item(range(len(self))[a])
 
 
 def coprime_offsets(s):
@@ -239,7 +225,7 @@ def build_grid(spec):
         g.edge(i, i + 1)
     for j in range(ny - 1):
         g.edge(j * nx, (j + 1) * nx)
-    g.lattice = True
+    g.n_lattice = nx * ny
     return g
 
 
@@ -255,7 +241,7 @@ def insert_terminal(g, x, y, role):
         raise ParameterError("terminal (%g, %g) outside the bounding box" % (x, y))
     if role not in ("start", "goal"):
         raise ParameterError("terminal role must be 'start' or 'goal'")
-    if not g.lattice:
+    if not g.n_lattice:
         raise ParameterError("insert_terminal needs a build_grid lattice")
     xs, ys, (nx, ny) = g.xs, g.ys, g.shape
     radius = spec.sector_order * spec.h

@@ -45,15 +45,16 @@ Graph.heads, and Graph.edge makes an edge only for a flight. Edges are
 flown lazily (lazy best-first search, Dellin & Srinivasa 2016). When a
 node n settles at t, each edge n -> m is queued unflown, as a candidate
 keyed on (t + lb) + h(m), rounded in those two steps as a node's key
-arrival + h(m) is. lb is the same disk bound for the straight leg
-n -> m, shrunk by a relative 5e-13, still well above the rounding in rho,
-so lb is at most the edge's flight time. A candidate is flown when it
-pops; at equal keys candidates pop before nodes. Rounding is monotone, so
-a candidate whose flight would lower or tie m's label has a key no
-greater than the key m gets from that label: it pops, and is flown,
-before m settles. That holds for any lb no greater than the flight time.
-With h = 0, lb = 0 too, every candidate pops right after its tail
-settles, and the search is Dijkstra.
+arrival + h(m) is. lb is the same disk bound for the straight leg n -> m:
+one bound, made once per search (_leg_bound), gives h and lb, each shrunk
+by the same relative 1e-12, well above the rounding in rho, so lb is at
+most the edge's flight time. A candidate is flown when it pops; at equal
+keys candidates pop before nodes. Rounding is monotone, so a candidate
+whose flight would lower or tie m's label has a key no greater than the
+key m gets from that label: it pops, and is flown, before m settles. That
+holds for any lb no greater than the flight time. With h = 0, lb = 0 too,
+every candidate pops right after its tail settles, and the search is
+Dijkstra.
 
 A lattice edge's lb comes from a table made once per search, keyed by
 head id minus tail id: the bound of its offset's nominal leg
@@ -66,13 +67,13 @@ apart. The unshrunk bound is the gauge of K, which obeys the triangle
 inequality, and along any direction rho lies between R - hypot(cx, cy)
 >= R / 100 and 2R, so moving a leg of length at least h by 1.5 err moves
 its bound by at most a relative 300 err / h. The table shrinks the
-nominal bound by that and by a further relative 1e-12, which covers the
+nominal leg's lb by that and by a further relative 1e-12, which covers the
 rounding of the two bound evaluations (each under 1e-13, as above). In a
 box so far from the origin against h that the shrink takes the whole
 bound, lb is 0. Where nx <= 2 * sector_order two offsets can share a key,
 and the table holds the smaller bound, still a bound on both. Links to
-the terminals, and every edge of a graph build_grid did not make, take
-the bound of their own leg.
+the terminals, and every edge of a graph build_grid did not make
+(Graph.n_lattice is 0), take the bound of their own leg.
 
 Three cuts keep flights that cannot improve a label from being flown,
 checked when the candidate is queued and again when it pops. An edge into
@@ -103,14 +104,10 @@ from .errors import NoPathError, ParameterError
 from .grid import MIN_EDGE_LENGTH
 from .ocean import current_disk
 
-# Relative shrinks of the A* bound h and of the edge bound lb, against
-# rounding (see the module doc): lb stays at most every flight time, and h
-# consistent on every edge where neither end is the start.
-_H_SHRINK = 1.0 - 1e-12
-_LEG_SHRINK = 1.0 - 5e-13
-# The lattice table's relative shrink on top of its rounding margin, which
-# covers the rounding of the two lb evaluations it compares (module doc).
-_TABLE_SHRINK = 1.0 - 1e-12
+# The relative shrink of the straight-leg bound, which gives h and lb,
+# against rounding, and of the lattice table on top of its rounding
+# margin (see the module doc).
+_SHRINK = 1.0 - 1e-12
 _UNIT_ROUNDOFF = math.ulp(1.0) / 2
 # The disk bound is used while the disk's centre is at most this share of
 # R from the origin, so its speed toward the goal is at least 1% of R
@@ -148,17 +145,17 @@ def _reconstruct(pred, start, goal, t0, arrival):
     legs = []
     node = goal
     while node != start:
-        edge, departure, travel, profile = pred[node]
-        legs.append(Leg(edge.frm, edge.to, departure, travel, profile))
-        node = edge.frm
+        tail, departure, travel, profile = pred[node]
+        legs.append(Leg(tail, node, departure, travel, profile))
+        node = tail
     legs.reverse()
     return PathResult(legs, t0, arrival)
 
 
-def _leg_bound(env, veh, shrink):
+def _leg_bound(env, veh):
     """bound(ex, ey): a lower bound on the time any flight through env
     takes along the straight leg (ex, ey), the disk bound of the module
-    doc times shrink. It is 0 for a leg shorter than MIN_EDGE_LENGTH, and
+    doc times _SHRINK. It is 0 for a leg shorter than MIN_EDGE_LENGTH, and
     for every leg when the disk's centre is more than _DISK_SPAN * R from
     the origin."""
     cx, cy, r = current_disk(env)
@@ -177,7 +174,7 @@ def _leg_bound(env, veh, shrink):
         dx, dy = ex / length, ey / length
         c_perp = cx * dy - cy * dx
         rho = cx * dx + cy * dy + sqrt(R2 - c_perp * c_perp)
-        return shrink * length / rho
+        return _SHRINK * length / rho
 
     return bound
 
@@ -189,7 +186,7 @@ def _lattice_bounds(g, bound):
     (see the module doc). Where offsets share a key (nx <= 2 *
     sector_order), the least of their bounds. Empty for any other graph,
     whose edges all take bound on their own legs."""
-    if not g.lattice:
+    if not g.n_lattice:
         return {}
     spec = g.spec
     nx, ny = g.shape
@@ -198,7 +195,7 @@ def _lattice_bounds(g, bound):
     err = 3 * _UNIT_ROUNDOFF * (
         max(abs(spec.x_min) + 2 * (nx - 1) * h,
             abs(spec.y_min) + 2 * (ny - 1) * h) + spec.sector_order * h)
-    shrink = max(0.0, _TABLE_SHRINK - 300 * err / h)
+    shrink = max(0.0, _SHRINK - 300 * err / h)
     table = {}
     for di, dj in g.offsets:
         # an offset no lattice edge has would only lower a shared key's lb
@@ -209,41 +206,25 @@ def _lattice_bounds(g, bound):
     return table
 
 
-def _time_to_goal_bound(g, env, veh):
-    """h(node): the bound of the straight leg from the node to the goal
-    terminal, shrunk by _H_SHRINK, a lower bound on the time any flight
-    through env takes between them. It is consistent on every edge where
-    neither end is the start, which is all plan() needs (see the module
-    doc); on a link at a start closer to a grid node than the rounding of
-    h, it need not be."""
-    to_goal = _leg_bound(env, veh, _H_SHRINK)
-    xs, ys = g.xs, g.ys
-    gx, gy = xs[g.goal_id], ys[g.goal_id]
-
-    def h(n):
-        return to_goal(gx - xs[n], gy - ys[n])
-
-    return h
-
-
 def plan(g, t0, profiles, env, veh, integ, evaluator=None):
     """Least-arrival-time path from the start terminal to the goal terminal.
 
-    A* with the bound h of _time_to_goal_bound, whose edges are flown
-    lazily. A node reached at arrival is queued on
+    A* whose edges are flown lazily, with one straight-leg bound
+    (_leg_bound) made per search: h(node) is its bound on the leg from the
+    node to the goal. A node reached at arrival is queued on
     (arrival + h(node), 1, arrival, node id), and the start on
     (t0, 1, t0, start), so with h = 0 nodes pop in Dijkstra's order,
     (arrival time, node id). When a node n settles at t, each edge n -> m
     into a head that is neither settled nor reached before t is queued
-    unflown, as a candidate ((t + lb) + h(m), 0, n, m), lb the _leg_bound
-    of the straight leg, read from the table of _lattice_bounds where n
-    and m are lattice nodes of build_grid; at equal keys candidates pop
-    first. A popped
-    candidate whose head is still neither settled nor reached before t is
-    made with Graph.edge and flown once per profile family
-    (cost.profile_families, grouped once here), up to just past the head's
-    tentative arrival at the pop.
+    unflown, as a candidate ((t + lb) + h(m), 0, n, m), lb the bound on
+    the edge's straight leg, read from the table of _lattice_bounds where
+    n and m are both below g.n_lattice; at equal keys candidates pop
+    first. A popped candidate whose head is still neither settled nor
+    reached before t is made with Graph.edge and flown once per profile
+    family (cost.profile_families, grouped once here), up to just past the
+    head's tentative arrival at the pop.
 
+    A label keeps its tail's id, departure, travel time and profile index.
     Among tails that reach a node at the same arrival, the one with the
     least (departure, tail id) is its predecessor: the tail Dijkstra
     settles first, whose label it keeps. That rule does not depend on the
@@ -255,11 +236,11 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
         raise ParameterError("graph needs start and goal terminals")
     start, goal = g.start_id, g.goal_id
     families = profile_families(profiles, env, veh, integ)
-    bound = _leg_bound(env, veh, _LEG_SHRINK)
+    bound = _leg_bound(env, veh)
     table = _lattice_bounds(g, bound)
-    n_lattice = math.prod(g.shape) if g.lattice else 0
-    h = _time_to_goal_bound(g, env, veh)
+    n_lattice = g.n_lattice
     xs, ys = g.xs, g.ys
+    gx, gy = xs[goal], ys[goal]
     inf = math.inf
     heappush = heapq.heappush
     arrival = {start: t0}
@@ -288,7 +269,7 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
                     continue
                 hm = hs.get(m)
                 if hm is None:
-                    hm = hs[m] = h(m)
+                    hm = hs[m] = bound(gx - xs[m], gy - ys[m])
                 if m < lim:
                     lb = table[m - n]
                 else:
@@ -300,17 +281,16 @@ def plan(g, t0, profiles, env, veh, integ, evaluator=None):
         tentative = arrival.get(m, inf)
         if tentative < t or m in settled:
             continue
-        edge = g.edge(n, m)
-        best_time, best_i = edge_cost(edge, t, families, evaluator,
+        best_time, best_i = edge_cost(g.edge(n, m), t, families, evaluator,
                                       math.nextafter(tentative, inf))
         if best_time is None:
             continue
         arr = t + best_time
         if arr < tentative:
             arrival[m] = arr
-            pred[m] = (edge, t, best_time, best_i)
+            pred[m] = (n, t, best_time, best_i)
             heappush(heap, (arr + hs[m], 1, arr, m))
-        elif arr == tentative and (t, n) < (pred[m][1], pred[m][0].frm):
-            pred[m] = (edge, t, best_time, best_i)
+        elif arr == tentative and (t, n) < (pred[m][1], pred[m][0]):
+            pred[m] = (n, t, best_time, best_i)
     raise NoPathError("goal terminal unreachable from start at t0=%g" % t0)
 

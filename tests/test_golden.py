@@ -73,7 +73,7 @@ LATTICE_TURNED_GOLDEN = {
 
 # LATTICE_MISSION in other currents (ux, uy), None for still water. At
 # 0.6 the current outruns the vehicle (v_bf = 0.5), so the search's
-# time-to-goal bound is 0 (search._time_to_goal_bound).
+# straight-leg bound, h and lb alike, is 0 (search._leg_bound).
 LATTICE_FLOW_GOLDEN = {
     (0.2, 0.0): (
         "7eb241832c6d148b983fca4534f8b7f4d809496010852ced9be2fc765ec6024f",
@@ -114,8 +114,9 @@ def test_pool_outputs(tmp_path):
     assert digests(tmp_path, 0.0, parallel=True) == GOLDEN[0.0]
 
 
-def test_lattice_uniform_outputs(tmp_path):
-    assert digests(tmp_path, 0.0, parallel=False,
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "pool"])
+def test_lattice_uniform_outputs(tmp_path, parallel):
+    assert digests(tmp_path, 0.0, parallel,
                    mission=LATTICE_MISSION) == LATTICE_GOLDEN
 
 

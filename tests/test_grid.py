@@ -220,12 +220,16 @@ class TestNoStoredEdges:
         assert links
         assert made == unit_edges + links
 
-    def test_adj_iterates_node_by_node(self):
-        g = TestExactGeometry.with_terminals(EXACT_SPECS[0])
-        assert len(list(g.adj)) == len(g.nodes)
-        assert len(g.adj) == len(g.nodes)
-        with pytest.raises(IndexError):
-            g.adj[len(g.nodes)]
+    def test_graph_build_grid_did_not_make_has_no_lattice(self):
+        # it has the spec's shape but none of its nodes, so heads lists
+        # only links, even for ids below nx * ny
+        spec = gp.GridSpec(0, 1, 0, 1, 0.5, 1)
+        g = gp.Graph(spec)
+        assert g.n_lattice == 0
+        assert g.heads(0) == []
+        g.links[0] = [9]
+        assert g.heads(0) == [9]
+        assert gp.build_grid(spec).n_lattice == 9
 
 
 class TestZeroLengthEdge:
@@ -482,7 +486,8 @@ class TestTerminalWindow:
 class TestNodeView:
     """g.nodes reads as the list of Node tuples of the oracle's bulk build
     plus the terminals, bit for bit, though the graph keeps only its
-    coordinate lists."""
+    coordinate lists; g.adj reads as the list of each node's edges to its
+    heads, made with Graph.edge."""
 
     @settings(max_examples=100, deadline=None)
     @given(inst=terminal_lattices(), data=st.data())
@@ -495,23 +500,28 @@ class TestNodeView:
             except gp.ParameterError:
                 continue
             expected.append(gp.Node(tid, x, y))
-        nodes, n = g.nodes, len(expected)
-        # repr tells -0.0 from 0.0, so equal reprs are equal bits
-        assert repr(list(nodes)) == repr(expected)
-        assert len(nodes) == n
+        n = len(expected)
         a = data.draw(st.integers(-n, -1), label="negative id")
-        assert repr(nodes[a]) == repr(expected[a])
         bound = st.none() | st.integers(-n - 2, n + 2)
         window = slice(data.draw(bound, label="start"),
                        data.draw(bound, label="stop"),
                        data.draw(st.sampled_from([None, 1, 3, -1, -2]),
                                  label="step"))
-        assert repr(nodes[window]) == repr(expected[window])
-        for past in (n, -n - 1):
-            with pytest.raises(IndexError):
-                nodes[past]
-        nx = g.shape[0]
-        for node in nodes[:math.prod(g.shape)]:
+        out_edges = [[g.edge(i, b) for b in g.heads(i)]
+                     for i in range(len(g.xs))]
+        # repr tells -0.0 from 0.0, so equal reprs are equal bits; the view
+        # makes its edges from the floats out_edges is made from, so == does
+        for view, want, bits in ((g.nodes, expected, repr),
+                                 (g.adj, out_edges, list)):
+            assert bits(list(view)) == bits(want)
+            assert len(view) == n
+            assert bits(view[a]) == bits(want[a])
+            assert bits(view[window]) == bits(want[window])
+            for past in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[past]
+        nodes, nx = g.nodes, g.shape[0]
+        for node in nodes[:g.n_lattice]:
             j, i = divmod(node.id, nx)
             assert node.x is nodes[i].x and node.y is nodes[j * nx].y
 

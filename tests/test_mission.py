@@ -339,6 +339,16 @@ class TestCmdPlan:
          "<grid>: grid bounding box too large"),
         ('<mission><grid x_min="-1.5e308" x_max="1.5e308"/></mission>',
          ["plan"], "<grid>: grid bounding box too large"),
+        (STILL_MISSION, ["field", "--x", "inf:1:2"],
+         "'inf' in 'inf:1:2' is not a finite number"),
+        (STILL_MISSION, ["field", "--y", "0:nan:3"],
+         "'nan' in '0:nan:3' is not a finite number"),
+        (STILL_MISSION, ["field", "--z", "1,inf"],
+         "'inf' in '1,inf' is not a finite number"),
+        (STILL_MISSION, ["field", "--times", "nan"],
+         "'nan' in 'nan' is not a finite number"),
+        (STILL_MISSION, ["field", "--times", "inf"],
+         "'inf' in 'inf' is not a finite number"),
     ])
     def test_config_errors_exit_3(self, tmp_path, capsys, doc, args, message):
         p = tmp_path / "bad.xml"

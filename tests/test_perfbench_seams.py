@@ -1,7 +1,8 @@
 """The benchmark's tracer patches gliderplan names at their module
-attributes, and its reference flights read ocean.velocity's samples; a
-renamed or bypassed name, or a changed sample, must fail here, not only in
-the benchmark runs."""
+attributes, its reference flights read ocean.velocity's samples, and its
+pipeline and static oracle read the graph through Graph.nodes, Graph.adj
+and Graph.n_edges; a renamed or bypassed name, a changed sample or a
+broken view must fail here, not only in the benchmark runs."""
 
 import importlib.util
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import gliderplan as gp
 import gliderplan.cost
 import gliderplan.search
-from conftest import fly, straight_edge
+from conftest import LATTICE_MISSION, fly, straight_edge
 from gliderplan.engine import WorkerPool
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -96,3 +97,23 @@ class TestReferenceFlight:
         want = load("reference").uniform_leg_time(*self.LEG, 0.15, 0.05,
                                                   gp.VehicleParams().v_bf)
         assert self.leg_time(env) == pytest.approx(want, rel=1e-9)
+
+
+def test_pipeline_and_oracle_read_the_graph(tmp_path):
+    pipeline, reference, run = load("pipeline"), load("reference"), load("run")
+    outcome = pipeline.run_pipeline(str(LATTICE_MISSION), str(tmp_path),
+                                    None, pipeline.StageClock())
+    cfg, result = outcome.cfg, outcome.result
+    g = gp.build_grid(cfg.grid)
+    gp.insert_terminal(g, *cfg.start, "start")
+    gp.insert_terminal(g, *cfg.goal, "goal")
+    xs, ys = g.xs, g.ys
+    assert outcome.leg_points == [(xs[leg.frm], ys[leg.frm], xs[leg.to],
+                                   ys[leg.to]) for leg in result.legs]
+    assert outcome.inputs["nodes"] == len(xs)
+    assert outcome.inputs["edges"] == sum(len(g.heads(a))
+                                          for a in range(len(xs)))
+    oracle = reference.static_dijkstra_arrival(
+        g, result.t0, cfg.env.ux, cfg.env.uy, cfg.vehicle.v_bf)
+    assert (abs(result.arrival - oracle)
+            <= run.ORACLE_RTOL * (oracle - result.t0))

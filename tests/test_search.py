@@ -417,6 +417,14 @@ def parallelogram_instance():
             gp.IntegrationParams(dt=0.1))
 
 
+def goal_bound(g, env, veh):
+    """h as plan() reads it: the straight-leg bound from a node to the
+    goal terminal."""
+    bound = gliderplan.search._leg_bound(env, veh)
+    gx, gy = g.xs[g.goal_id], g.ys[g.goal_id]
+    return lambda n: bound(gx - g.xs[n], gy - g.ys[n])
+
+
 def start_an_ulp_from_a_grid_node():
     """A start 2**-52 east of grid node 0, on the line from that node to
     the goal, in a uniform current. The straight-leg bounds of the two
@@ -449,7 +457,7 @@ class TestAStar:
         at a start closer to a grid node than the rounding of h, h need
         not be consistent (TestBounds)."""
         g, t0, profiles, env, veh, integ = inst
-        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        h = goal_bound(g, env, veh)
         assert h(g.goal_id) == 0.0
         families = gp.profile_families(profiles, env, veh, integ)
         for edge in all_edges(g):
@@ -464,7 +472,7 @@ class TestAStar:
         gp.insert_terminal(g, 0.0, 0.0, "start")
         gp.insert_terminal(g, 1.0, 1.0, "goal")
         env = gp.FlowEnvironment.uniform(0.3, 0.0)
-        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        h = goal_bound(g, env, veh)
         # along the diagonal the current gives 0.3 / sqrt(2) along track
         # and as much across it
         c = 0.3 / math.sqrt(2.0)
@@ -500,7 +508,7 @@ def late_tie_instance():
     the goal at node 4 is the smaller), Dijkstra node 2 (it is reached
     first), whose id is the larger. t0 is 2**20 and dt 0.5, so that every
     flight time is exact and every sum of them lands on a float. An ulp
-    there is 2**-32, so the bounds' shrinks (1e-12 at most) round away: a
+    there is 2**-32, so the bounds' shrink (1e-12) rounds away: a
     candidate's key is the key its head gets from the flight."""
     g = explicit_graph(
         gp.GridSpec(0.0, 0.5, 0.0, 1.5, 0.5, 1),
@@ -532,9 +540,8 @@ class TestLazyEdges:
         arrival_2 = leg_02.departure + leg_02.travel_time
         arrival_3 = leg_23.departure + leg_23.travel_time
         assert (arrival_2, arrival_3) == (t0 + 1.0, t0 + 3.0)
-        bound = gliderplan.search._leg_bound(env, veh,
-                                             gliderplan.search._LEG_SHRINK)
-        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        bound = gliderplan.search._leg_bound(env, veh)
+        h = goal_bound(g, env, veh)
         (_, x2, y2), (_, x3, y3) = g.nodes[2], g.nodes[3]
         key = arrival_2 + bound(x3 - x2, y3 - y2) + h(3)
         assert key == arrival_3 + h(3)
@@ -560,8 +567,7 @@ class TestBounds:
     @given(inst=small_missions())
     def test_edge_bound_is_at_most_the_flight_time(self, inst):
         g, t0, profiles, env, veh, integ = inst
-        lb = gliderplan.search._leg_bound(env, veh,
-                                          gliderplan.search._LEG_SHRINK)
+        lb = gliderplan.search._leg_bound(env, veh)
         families = gp.profile_families(profiles, env, veh, integ)
         for edge in all_edges(g):
             res = gp.edge_cost(edge, t0, families)
@@ -573,7 +579,7 @@ class TestBounds:
         inst = start_an_ulp_from_a_grid_node()
         g, t0, profiles, env, veh, integ = inst
         assert gp.plan(*inst) == plan_without_bound(*inst)
-        h = gliderplan.search._time_to_goal_bound(g, env, veh)
+        h = goal_bound(g, env, veh)
         families = gp.profile_families(profiles, env, veh, integ)
         times = {}
         for edge in all_edges(g):
@@ -582,10 +588,7 @@ class TestBounds:
             if g.start_id not in (edge.frm, edge.to):
                 assert h(edge.frm) <= times[edge.frm, edge.to] + h(edge.to)
         # the straight-leg bound is not consistent on the link 0 -> start
-        to_goal = gliderplan.search._leg_bound(env, veh,
-                                               gliderplan.search._H_SHRINK)
-        straight = to_goal(0.5 - 2.0 ** -52, 0.0)
-        assert h(0) > times[0, g.start_id] + straight
+        assert h(0) > times[0, g.start_id] + h(g.start_id)
 
     @settings(max_examples=100, deadline=None)
     @given(inst=small_missions(start_near_a_node=True))
@@ -617,7 +620,7 @@ def lattice_specs(draw):
 
 def lattice_legs(g, tails):
     """(tail id, head id, ex, ey) of every lattice edge out of tails."""
-    nodes, n_lattice = g.nodes, math.prod(g.shape)
+    nodes, n_lattice = g.nodes, g.n_lattice
     for n in tails:
         _, x, y = nodes[n]
         for m in g.heads(n):
@@ -626,17 +629,10 @@ def lattice_legs(g, tails):
                 yield n, m, mx - x, my - y
 
 
-def edge_bound(env, veh):
-    """The per-edge lb plan() keys a candidate on, as a function of the
-    edge's leg (ex, ey)."""
-    return gliderplan.search._leg_bound(env, veh,
-                                        gliderplan.search._LEG_SHRINK)
-
-
 def far_lattice_instance(turn=0.0):
     """A lattice-uniform-like mission 1e6 east and 1e6 south of the
     origin: at h = 0.1 rounding moves a lattice leg by about 1e-10, a
-    relative 1e-9 of the leg, far more than lb's shrink of 5e-13."""
+    relative 1e-9 of the leg, far more than lb's shrink of 1e-12."""
     spec = gp.GridSpec(1e6, 1e6 + 2.0, -1e6, -1e6 + 1.2, 0.1, 3)
     g = gp.build_grid(spec)
     gp.insert_terminal(g, 1e6 + 0.15, -1e6 + 0.55, "start")
@@ -664,7 +660,7 @@ class TestLatticeTable:
             g = gp.build_grid(spec)
         except gp.ParameterError:
             reject()  # lattice points that rounding collapses
-        bound = edge_bound(env, veh)
+        bound = gliderplan.search._leg_bound(env, veh)
         table = gliderplan.search._lattice_bounds(g, bound)
         for n, m, ex, ey in lattice_legs(g, range(len(g.nodes))):
             assert table[m - n] <= bound(ex, ey)
@@ -678,7 +674,7 @@ class TestLatticeTable:
         g = gp.build_grid(spec)
         env = gp.FlowEnvironment.uniform(0.15, 0.05)
         veh = gp.VehicleParams()
-        bound = edge_bound(env, veh)
+        bound = gliderplan.search._leg_bound(env, veh)
         table = gliderplan.search._lattice_bounds(g, bound)
         assert 0.0 < min(table.values())
         tails = set(range(0, nx * ny, 997))
@@ -693,7 +689,8 @@ class TestLatticeTable:
         lattice = gp.build_grid(spec)
         g = explicit_graph(spec, [(n.x, n.y) for n in lattice.nodes],
                            {0: [1, 4]}, 0, 4)
-        bound = edge_bound(gp.FlowEnvironment.still(), gp.VehicleParams())
+        bound = gliderplan.search._leg_bound(gp.FlowEnvironment.still(),
+                                             gp.VehicleParams())
         assert gliderplan.search._lattice_bounds(lattice, bound)
         assert gliderplan.search._lattice_bounds(g, bound) == {}
 
@@ -702,7 +699,7 @@ class TestLatticeTable:
     def test_far_lattice_plans_as_h_zero(self, turn):
         inst = far_lattice_instance(turn)
         g, _t0, _profiles, env, veh, _integ = inst
-        bound = edge_bound(env, veh)
+        bound = gliderplan.search._leg_bound(env, veh)
         table = gliderplan.search._lattice_bounds(g, bound)
         nx = g.shape[0]
         for di, dj in g.offsets:
