@@ -220,6 +220,13 @@ class TestNoStoredEdges:
         assert links
         assert made == unit_edges + links
 
+    def test_adj_iterates_node_by_node(self):
+        g = TestExactGeometry.with_terminals(EXACT_SPECS[0])
+        assert len(list(g.adj)) == len(g.nodes)
+        assert len(g.adj) == len(g.nodes)
+        with pytest.raises(IndexError):
+            g.adj[len(g.nodes)]
+
     def test_graph_build_grid_did_not_make_has_no_lattice(self):
         # it has the spec's shape but none of its nodes, so heads lists
         # only links, even for ids below nx * ny
