@@ -10,8 +10,7 @@ from .engine import (EngineConfig, TaskResult, WorkerPool, noop_run,
 from .errors import ConfigError, EngineError, NoPathError, ParameterError
 from .grid import (Edge, Graph, GridSpec, Node, build_grid, coprime_offsets,
                    insert_terminal)
-from .mission import (MissionConfig, parse_mission, read_path_xml,
-                      write_path_xml)
+from .mission import MissionConfig, parse_mission, write_path_xml
 from .ocean import (FlowEnvironment, FlowSample, JetParams,
                     SurfaceCurrentParams, meander_amplitude, stream_function,
                     velocity)

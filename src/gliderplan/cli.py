@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 no path found, 3 configuration error,
 
 import argparse
 import dataclasses
+import math
 import os
 import statistics
 import sys
@@ -125,6 +126,8 @@ def cmd_bench(args):
     write_csv(args.out, ("variant", "n_workers", "total_ms", "search_ms",
                          "speedup"), rows)
     print("bench report written to %s (%d rows)" % (args.out, len(rows)))
+    print("note: the pool's workers are threads, so CPython's GIL keeps "
+          "P-TVE speedup below 1")
     return EXIT_OK
 
 
@@ -157,8 +160,11 @@ def _linspace(spec_str):
         raise ConfigError("expected min:max:count, got %r" % spec_str)
     if n < 1:
         raise ConfigError("sample count must be >= 1 in %r" % spec_str)
-    return _levels(_finite_arg(lo_s, spec_str), _finite_arg(hi_s, spec_str),
-                   n)
+    lo, hi = _finite_arg(lo_s, spec_str), _finite_arg(hi_s, spec_str)
+    # the sample spacing is (max - min) / (count - 1), which must be finite
+    if n > 1 and not math.isfinite(hi - lo):
+        raise ConfigError("max - min overflows in %r" % spec_str)
+    return _levels(lo, hi, n)
 
 
 def _float_list(text):

@@ -180,9 +180,9 @@ class Graph:
 
 class _View(Sequence):
     """A read-only view of a graph with one item per node: view[a] is
-    item(a), made when read. It reads as a list does: negative ids count
-    from the end, a slice is a list of items, and ids past the last node
-    raise IndexError."""
+    item(a), made when read. An id reads as a list index does: negative
+    ids count from the end, and ids past the last node raise
+    IndexError."""
 
     def __init__(self, g, item):
         self._g = g
@@ -192,8 +192,6 @@ class _View(Sequence):
         return len(self._g.xs)
 
     def __getitem__(self, a):
-        if isinstance(a, slice):
-            return [self._item(i) for i in range(len(self))[a]]
         return self._item(range(len(self))[a])
 
 

@@ -18,7 +18,6 @@ from .errors import ConfigError, ParameterError
 from .grid import GridSpec
 from .ocean import FlowEnvironment, JetParams, SurfaceCurrentParams
 from .profiles import DiveProfileParams
-from .search import Leg, PathResult
 
 
 @dataclass(frozen=True)
@@ -196,32 +195,6 @@ def write_path_xml(result, path):
     lines.append('</path>')
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-# Path file attributes, in the field order of PathResult (after legs) and
-# of Leg.
-_PATH = {"t0": (float, MISSING), "arrival": (float, MISSING)}
-_LEG = {"from": (int, MISSING), "to": (int, MISSING),
-        "departure": (float, MISSING), "travel_time": (float, MISSING),
-        "profile": (int, MISSING)}
-
-
-def read_path_xml(path):
-    """PathResult from a path file; unknown elements and attributes are
-    rejected, as in a mission file."""
-    try:
-        root = ET.parse(path).getroot()
-    except (ET.ParseError, OSError) as exc:
-        raise ConfigError("cannot parse path file %s: %s" % (path, exc))
-    if root.tag != "path":
-        raise ConfigError("root element must be <path>")
-    legs = []
-    for el in root:
-        if el.tag != "leg":
-            raise ConfigError("unknown element <%s> inside <path>" % el.tag)
-        _children(el, (), "leg")
-        legs.append(Leg(*_attrs(el, _LEG).values()))
-    return PathResult(legs, *_attrs(root, _PATH).values())
 
 
 def write_csv(path, header, rows):

@@ -23,7 +23,7 @@ bit-identical to the formulas evaluated term by term.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -97,10 +97,6 @@ class FlowEnvironment:
         # <flow> element's schema (mission._section), and ==, hash and
         # repr read the fields alone.
         object.__setattr__(self, "_uv", _bind(self))
-
-    def __reduce__(self):
-        # pickle cannot carry the bound closure; rebuild it from the fields
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @classmethod
     def still(cls):

@@ -9,6 +9,14 @@ Smith 1993) and a consistent h, a settled label is final, as in Dijkstra
 networks); plan() assumes FIFO costs and does not check them. With h = 0
 the search is Dijkstra, key and tie rules included.
 
+Where costs are not FIFO, a later arrival at a node can lead to an
+earlier arrival at the goal, and plan() can miss it. The example
+mission's costs are not: at t0 = 0 plan() arrives at 9.7198, while the
+walk 35 -> 8 -> 7 -> 14 -> 23 -> 24 -> 36 arrives at 5.0394. It reaches
+node 14 at 2.93, not at its label 1.38, and from there 14 -> 23 can be
+flown (tests/test_search.py::TestOptimalityOracle::
+test_example_walk_beats_plan_where_costs_are_not_fifo).
+
 The bound comes from ocean.current_disk: every current sample c lies in a
 disk about (cx, cy) of radius r, so every ground velocity c + w of a
 vehicle with |w| = v_bf lies in the disk K about (cx, cy) of radius
@@ -130,15 +138,6 @@ class PathResult:
     legs: list
     t0: float
     arrival: float
-
-    @property
-    def total_time(self):
-        return self.arrival - self.t0
-
-    def node_sequence(self):
-        if not self.legs:
-            return []
-        return [self.legs[0].frm] + [leg.to for leg in self.legs]
 
 
 def _reconstruct(pred, start, goal, t0, arrival):

@@ -3,7 +3,7 @@ gliderplan.grid.insert_terminal makes, and for the nodes
 gliderplan.grid.build_grid's graph reads as."""
 
 import math
-from itertools import repeat
+from itertools import islice, repeat
 
 import gliderplan as gp
 
@@ -26,7 +26,7 @@ def terminal_links(g, x, y):
     scan of them all, in id order. The reference for insert_terminal's
     lattice window."""
     radius = g.spec.sector_order * g.spec.h
-    return [node.id for node in g.nodes[:math.prod(g.shape)]
+    return [node.id for node in islice(g.nodes, math.prod(g.shape))
             if 0.0 < math.hypot(node.x - x, node.y - y) <= radius]
 
 

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -11,11 +12,22 @@ import pytest
 import gliderplan as gp
 import gliderplan.cli
 from gliderplan.cli import main, parse_worker_list, run_plan
-from gliderplan.mission import read_path_xml, write_path_xml
+from gliderplan.mission import write_path_xml
 from gliderplan.search import Leg, PathResult
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def read_path(path):
+    """The PathResult a path.xml holds, its floats parsed from their repr,
+    so they read back bit for bit."""
+    root = ET.parse(path).getroot()
+    legs = [Leg(int(el.get("from")), int(el.get("to")),
+                float(el.get("departure")), float(el.get("travel_time")),
+                int(el.get("profile"))) for el in root.iter("leg")]
+    return PathResult(legs, float(root.get("t0")), float(root.get("arrival")))
+
 
 STILL_MISSION = """<?xml version="1.0"?>
 <mission>
@@ -172,48 +184,10 @@ class TestPathXmlRoundTrip:
             0.0, 0.9562345678901234)
         out = tmp_path / "path.xml"
         write_path_xml(result, str(out))
-        again = read_path_xml(str(out))
+        again = read_path(str(out))
         assert again.legs == result.legs
         assert again.t0 == result.t0
         assert again.arrival == result.arrival
-
-    @pytest.mark.parametrize("text, names", [
-        ('<path t0="0.0"/>', ("<path>", "'arrival'")),
-        ('<path arrival="1.0"/>', ("<path>", "'t0'")),
-        ('<path t0="0.0" arrival="late"/>', ("<path", "arrival=")),
-        ('<path t0="0.0" arrival="0.5"><leg from="1" to="2" departure="0.0"'
-         ' travel_time="x" profile="3"/></path>', ("<leg", "travel_time=")),
-        ('<path t0="0.0" arrival="0.5"><leg from="1" to="2" departure="0.0"'
-         ' travel_time="0.5"/></path>', ("<leg>", "'profile'")),
-        ('<path t0="0.0" arrival="0.5"><leg from="1.5" to="2" departure="0.0"'
-         ' travel_time="0.5" profile="3"/></path>', ("<leg", "from=")),
-    ], ids=["path-no-arrival", "path-no-t0", "path-bad-arrival",
-            "leg-bad-travel_time", "leg-no-profile", "leg-bad-from"])
-    def test_bad_attribute_names_element_and_attribute(self, tmp_path, text,
-                                                       names):
-        out = tmp_path / "path.xml"
-        out.write_text(text)
-        with pytest.raises(gp.ConfigError) as info:
-            read_path_xml(str(out))
-        assert all(name in str(info.value) for name in names)
-
-    @pytest.mark.parametrize("text, message", [
-        ('<path t0="0.0" arrival="1.0" bogus="x"/>',
-         "<path>: unknown attribute 'bogus'"),
-        ('<path t0="0.0" arrival="1.0"><leg from="1" to="2" departure="0.0"'
-         ' travel_time="1.0" profile="3" extra="y"/></path>',
-         "<leg>: unknown attribute 'extra'"),
-        ('<path t0="0.0" arrival="1.0"><leg from="1" to="2" departure="0.0"'
-         ' travel_time="1.0" profile="3"><child/></leg></path>',
-         "unknown element <child> inside <leg>"),
-    ], ids=["path-unknown-attribute", "leg-unknown-attribute", "leg-child"])
-    def test_unknown_attribute_or_element_rejected(self, tmp_path, text,
-                                                   message):
-        # a path file is held to the rules of a mission file
-        out = tmp_path / "path.xml"
-        out.write_text(text)
-        with pytest.raises(gp.ConfigError, match=re.escape(message)):
-            read_path_xml(str(out))
 
     def test_byte_stable(self, tmp_path):
         result = PathResult([Leg(1, 2, 0.0, 0.5, 3)], 0.0, 0.5)
@@ -241,9 +215,10 @@ class TestCmdPlan:
         out = tmp_path / "out"
         code = main(["plan", "--mission", still_mission, "--out", str(out)])
         assert code == 0
-        result = read_path_xml(str(out / "path.xml"))
+        result = read_path(str(out / "path.xml"))
         # lattice route 0.5 + sqrt(0.5) + 0.5 long, at v_bf = 0.5
-        assert result.total_time == pytest.approx(2 + math.sqrt(2), rel=1e-6)
+        assert result.arrival - result.t0 == pytest.approx(2 + math.sqrt(2),
+                                                           rel=1e-6)
         assert (out / "path.csv").exists()
         assert (out / "path_trace.csv").exists()
         assert (out / "graph_stats.csv").exists()
@@ -349,6 +324,10 @@ class TestCmdPlan:
          "'nan' in 'nan' is not a finite number"),
         (STILL_MISSION, ["field", "--times", "inf"],
          "'inf' in 'inf' is not a finite number"),
+        (STILL_MISSION, ["field", "--x=-1e308:1e308:3"],
+         "max - min overflows in '-1e308:1e308:3'"),
+        (STILL_MISSION, ["field", "--y=-1e308:1e308:2"],
+         "max - min overflows in '-1e308:1e308:2'"),
     ])
     def test_config_errors_exit_3(self, tmp_path, capsys, doc, args, message):
         p = tmp_path / "bad.xml"
@@ -456,7 +435,7 @@ class TestCmdPlan:
         out = tmp_path / "out"
         assert main(["plan", "--mission", example_mission, "--serial",
                      "--out", str(out)]) == 0
-        result = read_path_xml(str(out / "path.xml"))
+        result = read_path(str(out / "path.xml"))
         profiles = gp.generate_dive_profiles(
             gp.parse_mission(example_mission).profile_params)
         lines = (out / "path_trace.csv").read_text().splitlines()
@@ -491,7 +470,7 @@ class TestCmdPlan:
                                                     tmp_path):
         out = tmp_path / "out"
         main(["plan", "--mission", still_mission, "--out", str(out)])
-        result = read_path_xml(str(out / "path.xml"))
+        result = read_path(str(out / "path.xml"))
         assert result.legs[0].departure == result.t0
         for a, b in zip(result.legs, result.legs[1:]):
             assert a.to == b.frm
@@ -501,11 +480,16 @@ class TestCmdPlan:
 
 
 class TestCmdBench:
-    def test_report_structure(self, still_mission, tmp_path):
+    def test_report_structure(self, still_mission, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--mission", still_mission, "--workers", "1,2",
                      "--repeat", "1", "--out", str(out)])
         assert code == 0
+        # the report line, then why P-TVE is no faster than S-TVE
+        assert capsys.readouterr().out.splitlines() == [
+            "bench report written to %s (3 rows)" % out,
+            "note: the pool's workers are threads, so CPython's GIL keeps "
+            "P-TVE speedup below 1"]
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "variant,n_workers,total_ms,search_ms,speedup"
         rows = [line.split(",") for line in lines[1:]]

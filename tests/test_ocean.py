@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import pickle
 import random
 
 import pytest
@@ -337,13 +336,6 @@ class TestBoundField:
                     x, y, z, t, new)
                 assert gp.velocity(x, y, z, t, new) != gp.velocity(
                     x, y, z, t, env)
-
-    def test_pickle_rebinds_the_field(self):
-        env = gp.FlowEnvironment(gp.JetParams(B0=2.0))
-        copy = pickle.loads(pickle.dumps(env))
-        assert copy == env
-        assert gp.velocity(0.3, 0.2, 1.0, 0.5, copy) == gp.velocity(
-            0.3, 0.2, 1.0, 0.5, env)
 
 
 class TestCurrentDisk:

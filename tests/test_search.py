@@ -50,6 +50,11 @@ def mission_instance(mission, t0=None):
             cfg.integration)
 
 
+def legs_of(result):
+    """(tail, head) of each leg of a plan's result, in path order."""
+    return [(leg.frm, leg.to) for leg in result.legs]
+
+
 def recording(evaluator, calls):
     """evaluator that also appends (tasks, times) of each call to calls."""
     def evaluate(tasks):
@@ -104,7 +109,7 @@ class TestPlanBasics:
         res = gp.plan(g, 0.0, [gp.DiveProfile(0.0, 200.0, 0)],
                       gp.FlowEnvironment.still(), veh, integ)
         assert len(res.legs) == 1
-        assert res.total_time == pytest.approx(2.0, abs=integ.dt)
+        assert res.arrival - res.t0 == pytest.approx(2.0, abs=integ.dt)
 
     def test_missing_terminals_rejected(self, veh, integ):
         g = gp.build_grid(gp.GridSpec(0, 1, 0, 1, 0.5, 1))
@@ -129,7 +134,8 @@ class TestPlanBasics:
         res = gp.plan(g, 0.0, profiles, env, veh, integ)
         bf = brute_force_plan(g, 0.0, profiles, env, veh, integ, max_hops=8)
         # shortest lattice route: 0.5 axis hop, center diagonal, 0.5 hop
-        assert res.total_time == pytest.approx(2 + math.sqrt(2), rel=1e-9)
+        assert res.arrival - res.t0 == pytest.approx(2 + math.sqrt(2),
+                                                     rel=1e-9)
         assert res.arrival == bf.arrival
 
     def test_arrival_times_strictly_increase(self, veh):
@@ -305,10 +311,30 @@ class TestOptimalityOracle:
             b = brute_force_plan(g, t0, profiles, env, veh, integ,
                                  max_hops=8)
             assert abs(a.arrival - b.arrival) <= 1e-9
-            if a.node_sequence() == b.node_sequence():
+            if legs_of(a) == legs_of(b):
                 assert a.legs == b.legs
             checked += 1
         assert checked >= 10
+
+    def test_example_walk_beats_plan_where_costs_are_not_fifo(self):
+        # The example's edge costs are not FIFO, so plan() can miss the
+        # fastest path. At t0 = 0 it reaches node 14 at its label 1.38,
+        # where 14 -> 23 cannot be flown; the walk below reaches 14 at
+        # 2.93 and flies it. Each leg departs at the previous arrival and
+        # flies every profile family, as plan() flies an edge.
+        g, t0, profiles, env, veh, integ = example_instance(0.0)
+        res = gp.plan(g, t0, profiles, env, veh, integ)
+        assert legs_of(res) == [(35, 15), (15, 9), (9, 24), (24, 25),
+                                (25, 36)]
+        assert res.arrival == pytest.approx(9.719796044469643, abs=1e-4)
+        families = gp.profile_families(profiles, env, veh, integ)
+        walk = [35, 8, 7, 14, 23, 24, 36]
+        t = t0
+        for a, b in zip(walk, walk[1:]):
+            assert b in g.heads(a)
+            t += gp.edge_cost(g.edge(a, b), t, families).best_time
+        assert t == pytest.approx(5.039411357194515, abs=1e-4)
+        assert t < res.arrival
 
 
 def plan_without_bound(*args):
@@ -485,7 +511,7 @@ class TestAStar:
         inst = parallelogram_instance()
         res = gp.plan(*inst)
         assert res == plan_without_bound(*inst)
-        assert res.node_sequence() == [0, 1, 3, 4]
+        assert legs_of(res) == [(0, 1), (1, 3), (3, 4)]
         assert res.legs[1].departure + res.legs[1].travel_time == (
             res.legs[0].travel_time + res.legs[1].travel_time)
 
@@ -530,7 +556,7 @@ class TestLazyEdges:
         flown = []
         res = gp.plan(*inst, recording(gp.serial_evaluator, flown))
         assert res == plan_without_bound(*inst)
-        assert res.node_sequence() == [0, 2, 3, 4]
+        assert legs_of(res) == [(0, 2), (2, 3), (3, 4)]
         # 1 -> 3 is flown first and labels node 3; 2 -> 3 ties that label
         # and is flown before node 3 settles, at node 3's key
         edges = [(tasks[0].edge.frm, tasks[0].edge.to)
