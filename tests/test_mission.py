@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import threading
@@ -188,6 +189,38 @@ class TestPathXmlRoundTrip:
         assert again.legs == result.legs
         assert again.t0 == result.t0
         assert again.arrival == result.arrival
+
+    @pytest.mark.parametrize("value", [
+        0.1, 1 / 3, -0.0, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, 2.0 ** 53 + 2.0,
+    ], ids=["tenth", "third", "negative-zero", "least-subnormal",
+            "least-normal", "greatest", "above-2**53"])
+    def test_float_reads_back_bit_for_bit(self, tmp_path, value):
+        # repr is the shortest text that reads back to the same double
+        result = PathResult([Leg(3, 4, value, value, 0)], value, value)
+        out = tmp_path / "path.xml"
+        write_path_xml(result, str(out))
+        again = read_path(str(out))
+        leg = again.legs[0]
+        for got in (again.t0, again.arrival, leg.departure, leg.travel_time):
+            assert struct.pack("<d", got) == struct.pack("<d", value)
+
+    @pytest.mark.parametrize("tag, attributes, children", [
+        ("path", {"t0", "arrival"}, {"leg"}),
+        ("leg", {"from", "to", "departure", "travel_time", "profile"}, set()),
+    ])
+    def test_elements_hold_only_the_fields_read_back(self, example_mission,
+                                                     tmp_path, tag,
+                                                     attributes, children):
+        # every attribute the planner writes is one read_path reads
+        out = tmp_path / "out"
+        assert main(["plan", "--mission", example_mission, "--serial",
+                     "--out", str(out)]) == 0
+        elements = list(ET.parse(out / "path.xml").getroot().iter(tag))
+        assert elements
+        for el in elements:
+            assert set(el.attrib) == attributes
+            assert {child.tag for child in el} <= children
 
     def test_byte_stable(self, tmp_path):
         result = PathResult([Leg(1, 2, 0.0, 0.5, 3)], 0.0, 0.5)
